@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .errors import ParseError, ResolvError, ValidationError
 from .generators import (DcsbmParams, ExtendedPpmParams, make_clique,
                          make_plateau_fixture, sample_dcsbm, sample_er,
                          sample_extended_ppm)
-from .graph import (Graph, load_communities, load_edge_list, partition_stats,
-                    write_communities, write_edge_list)
+from .graph import (Graph, _utf8_text, load_communities, load_edge_list,
+                    partition_stats, write_communities, write_edge_list)
 from .metrics import ContingencyTable, ari, f_measure, nmi
 from .modularity import louvain_maximize, modularity
 from .multiscale import multiscale_detect
@@ -65,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="resolv",
         description="Community detection with resolution bounds and significance testing.",
         epilog="Exit codes: 0 ok, 2 parse failure, 3 validation failure, 4 runtime failure. "
-               "RESOLV_THREADS caps sweep parallelism.",
+               "RESOLV_THREADS caps the worker processes of sweep (default: CPU count); "
+               "the worker count never changes results.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with _utf8_text(args.config) as fh:
         config = json.load(fh)
     graph, truth_assignment = _build_model(config, args.seed)
     write_edge_list(graph, f"{args.out}.edges")
@@ -174,36 +174,53 @@ def _build_model(config, seed):
     if model == "clique":
         return make_clique(_field_int(config, "n")), None
     if model == "dcsbm":
-        assignment = np.asarray(config["block_assignment"])
+        assignment = _field_array(config, "block_assignment", np.int64)
         params = DcsbmParams(
             block_assignment=assignment,
-            target_degrees=_degrees(config["target_degrees"], assignment.size),
-            omega=np.asarray(config["omega"], dtype=np.float64),
+            target_degrees=_degrees(config, assignment.size),
+            omega=_field_array(config, "omega", np.float64),
         )
         return sample_dcsbm(params, seed), params.block_assignment
-    sizes = np.asarray(config["community_sizes"], dtype=np.int64)
+    sizes = _field_array(config, "community_sizes", np.int64)
     params = ExtendedPpmParams(
         community_sizes=sizes,
-        target_degrees=_degrees(config["target_degrees"], int(sizes.sum())),
-        omega_out=float(config["omega_out"]),
-        omega_diag=np.asarray(config["omega_diag"], dtype=np.float64),
+        target_degrees=_degrees(config, int(sizes.sum())),
+        omega_out=float(_field_array(config, "omega_out", np.float64, scalar=True)),
+        omega_diag=_field_array(config, "omega_diag", np.float64),
     )
     graph, truth = sample_extended_ppm(params, seed)
     return graph, truth.assignment
 
 
 def _field_int(config, name) -> int:
+    return int(_field_array(config, name, np.int64, scalar=True))
+
+
+def _field_array(config, name, dtype, scalar=False) -> np.ndarray:
+    """Config field ``name`` as an array of ``dtype``.
+
+    The field must be a JSON number or, unless ``scalar``, a rectangular
+    (nested) list of numbers; integer fields take integers only. Anything
+    else, booleans included, raises ValidationError naming the field.
+    """
     value = config[name]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"config field {name!r} must be an integer, got {value!r}")
-    return value
+    kinds = int if dtype == np.int64 else (int, float)
+    cells = np.asarray(value, dtype=object)  # a ragged list keeps lists as cells
+    if (scalar and cells.ndim) or not all(
+            isinstance(x, kinds) and not isinstance(x, bool) for x in cells.flat):
+        kind = "an integer" if kinds is int else "a number"
+        shape = "" if scalar else " or a rectangular list of them"
+        raise ValidationError(f"config field {name!r} must be {kind}{shape}, got {value!r}")
+    try:
+        return cells.astype(dtype)
+    except OverflowError as exc:
+        raise ValidationError(f"config field {name!r}: {exc}") from exc
 
 
-def _degrees(value, n):
+def _degrees(config, n):
     # scalar target degree broadcasts over all nodes
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return np.full(n, float(value))
-    return np.asarray(value, dtype=np.float64)
+    degrees = _field_array(config, "target_degrees", np.float64)
+    return np.full(n, float(degrees)) if degrees.ndim == 0 else degrees
 
 
 def cmd_detect(args) -> int:
@@ -340,7 +357,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _thread_cap() -> int:
+def _worker_cap() -> int:
+    """Sweep worker processes: the CPU count, lowered by RESOLV_THREADS."""
     env = os.environ.get("RESOLV_THREADS")
     cap = os.cpu_count() or 1
     if env is not None:
@@ -351,7 +369,41 @@ def _thread_cap() -> int:
     return cap
 
 
+# (graph, labels, truth_map, grid, master seed), set once in each sweep worker
+_sweep_inputs = None
+
+
+def _init_sweep_worker(*inputs) -> None:
+    global _sweep_inputs
+    _sweep_inputs = inputs
+
+
+def _sweep_cell(cell) -> dict:
+    """One louvain run of the sweep, scored against the truth.
+
+    Its seed derives from (master seed, gamma index, seed index) alone, so a
+    cell gives the same result in any worker and in any order.
+    """
+    graph, labels, truth_map, grid, master_seed = _sweep_inputs
+    gi, si = cell
+    gamma = float(grid[gi])
+    started = time.perf_counter()
+    part = louvain_maximize(graph, gamma, seed=derive_seed(master_seed, gi, si))
+    elapsed = time.perf_counter() - started
+    detected = {labels[i]: int(c) for i, c in enumerate(part.assignment)}
+    return {
+        "gamma": gamma, "gamma_index": gi, "seed_index": si,
+        "nmi": nmi(detected, truth_map), "ari": ari(detected, truth_map),
+        "communities": part.B,
+        "q": modularity(graph, part, gamma),
+        "seconds": elapsed,
+    }
+
+
 def cmd_sweep(args) -> int:
+    # imported here: the executor costs every other command ~1 MiB and ~20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     graph, labels = load_edge_list(args.graph)
     truth_map = load_communities(args.truth)
     grid = _parse_grid(args.grid)
@@ -360,25 +412,14 @@ def cmd_sweep(args) -> int:
     if not (0.0 <= args.threshold <= 1.0):
         raise ValidationError("--threshold must lie in [0, 1]")
 
-    def run_cell(cell):
-        gi, si = cell
-        gamma = float(grid[gi])
-        run_seed = derive_seed(args.seed, gi, si)
-        started = time.perf_counter()
-        part = louvain_maximize(graph, gamma, seed=run_seed)
-        elapsed = time.perf_counter() - started
-        detected = {labels[i]: int(c) for i, c in enumerate(part.assignment)}
-        return {
-            "gamma": gamma, "gamma_index": gi, "seed_index": si,
-            "nmi": nmi(detected, truth_map), "ari": ari(detected, truth_map),
-            "communities": part.B,
-            "q": modularity(graph, part, gamma),
-            "seconds": elapsed,
-        }
-
+    # louvain_maximize is pure Python, so cells run in processes; the inputs
+    # reach each worker once, and map() hands out cells in chunks, in order
     cells = [(gi, si) for gi in range(grid.size) for si in range(args.seeds)]
-    with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        runs = list(pool.map(run_cell, cells))
+    workers = min(_worker_cap(), len(cells))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
+                             initargs=(graph, labels, truth_map, grid, args.seed)) as pool:
+        runs = list(pool.map(_sweep_cell, cells,
+                             chunksize=max(1, len(cells) // (8 * workers))))
 
     rows = []
     for gi in range(grid.size):

@@ -11,9 +11,10 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -92,25 +93,6 @@ class Graph:
         return g
 
     @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR neighbor lists excluding self-loops, plus per-node loop weight."""
-        loops = self.edge_u == self.edge_v
-        u = self.edge_u[~loops]
-        v = self.edge_v[~loops]
-        w = self.edge_w[~loops]
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        ww = np.concatenate([w, w])
-        order = np.argsort(src, kind="stable")
-        dst = dst[order]
-        ww = ww[order]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-        self_w = np.zeros(self.n, dtype=np.int64)
-        np.add.at(self_w, self.edge_u[loops], self.edge_w[loops])
-        return indptr, dst, ww, self_w
-
-    @cached_property
     def _pair_index(self) -> dict:
         return {(int(a), int(b)): int(c) for a, b, c in zip(self.edge_u, self.edge_v, self.edge_w)}
 
@@ -125,6 +107,20 @@ class Graph:
             yield int(a), int(b), int(c)
 
 
+@contextmanager
+def _utf8_text(path) -> Iterator[TextIO]:
+    """Open ``path`` for reading as UTF-8 text.
+
+    A decoding error while the file is read raises ParseError naming the
+    file, so bytes that are not UTF-8 count as malformed input.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_edge_list(path) -> tuple[Graph, list[str]]:
     """Read a whitespace-separated edge list.
 
@@ -136,7 +132,7 @@ def load_edge_list(path) -> tuple[Graph, list[str]]:
     index: dict[str, int] = {}
     us: list[int] = []
     vs: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -179,7 +175,7 @@ def load_communities(path) -> dict[str, str]:
     with conflicting communities is rejected rather than silently resolved.
     """
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -166,7 +166,7 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
     ev = graph.edge_v
     ew = graph.edge_w.astype(np.float64)
     k = graph.degrees.astype(np.float64)
-    indptr, nbr, wgt, _ = _csr(n, eu, ev, ew)
+    indptr, nbr, wgt = _csr(n, eu, ev, ew)
     coef = gamma / (2.0 * m)
 
     comm = np.asarray(assignment, dtype=np.int64).copy()
@@ -183,6 +183,10 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
         best_prefix = None
         for _ in range(n):
             step = None  # (delta, node, target)
+            # size changes only when a step is applied, so the lowest empty
+            # community (the target of a detach) is fixed for this scan
+            empty = np.flatnonzero(size == 0)
+            first_empty = int(empty[0]) if empty.size else -1
             for v in range(n):
                 if locked[v]:
                     continue
@@ -193,12 +197,7 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
                     links[cj] = links.get(cj, 0.0) + wgt[t]
                 kv = k[v]
                 leave = links.get(cv, 0.0) - coef * kv * (kappa[cv] - kv)
-                solo = size[cv] == 1
-                fresh = -1
-                if not solo:
-                    empty = np.flatnonzero(size == 0)
-                    if empty.size:
-                        fresh = int(empty[0])
+                fresh = -1 if size[cv] == 1 else first_empty
                 for c in range(n):
                     if c == cv or (size[c] == 0 and c != fresh):
                         continue
@@ -252,7 +251,7 @@ def _local_moving(eu, ev, ew, k, m, gamma, rng, tol, check,
     array and whether any move was accepted.
     """
     n = k.size
-    indptr, nbr, wgt, selfw = _csr(n, eu, ev, ew)
+    indptr, nbr, wgt = _csr(n, eu, ev, ew)
     if init is None:
         comm = np.arange(n, dtype=np.int64)
     else:
@@ -327,9 +326,7 @@ def _csr(n, eu, ev, ew):
     ww = ww[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src.astype(np.int64), minlength=n), out=indptr[1:])
-    selfw = np.zeros(n, dtype=np.float64)
-    np.add.at(selfw, eu[loops].astype(np.int64), ew[loops])
-    return indptr, dst.astype(np.int64), ww, selfw
+    return indptr, dst.astype(np.int64), ww
 
 
 def _scratch_q(eu, ev, ew, k, comm, m, gamma) -> float:

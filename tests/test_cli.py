@@ -1,4 +1,6 @@
+import csv
 import json
+import multiprocessing
 
 import pytest
 
@@ -282,9 +284,18 @@ def test_sweep_no_stable_interval(tmp_path, capsys):
     assert json.loads((tmp_path / "sw.json").read_text())["stable_interval"] is None
 
 
+def sweep_csv_without_seconds(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        del row["seconds"]
+    return rows
+
+
 def test_sweep_thread_cap_does_not_change_results(tmp_path, monkeypatch):
     graph_path, truth = sweep_inputs(tmp_path)
     reports = []
+    cell_rows = []
     for name, threads in (("t1", "1"), ("t2", "4")):
         monkeypatch.setenv("RESOLV_THREADS", threads)
         out = str(tmp_path / name)
@@ -295,7 +306,46 @@ def test_sweep_thread_cap_does_not_change_results(tmp_path, monkeypatch):
         for row in report["rows"]:
             del row["seconds"]
         reports.append(report)
+        cell_rows.append(sweep_csv_without_seconds(tmp_path / f"{name}.csv"))
     assert reports[0] == reports[1]
+    assert cell_rows[0] == cell_rows[1]
+
+
+def test_sweep_spawned_workers_give_the_same_cells(tmp_path, monkeypatch):
+    # spawn (the default on macOS and Windows) pickles the worker inputs
+    # instead of inheriting them
+    graph_path, truth = sweep_inputs(tmp_path)
+    base = ["sweep", "--graph", graph_path, "--truth", truth, "--grid", "0.5:3.0:3",
+            "--seeds", "2"]
+    monkeypatch.setenv("RESOLV_THREADS", "1")
+    assert main(base + ["--out", str(tmp_path / "default")]) == 0
+    monkeypatch.setenv("RESOLV_THREADS", "2")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        assert main(base + ["--out", str(tmp_path / "spawn")]) == 0
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    assert sweep_csv_without_seconds(tmp_path / "default.csv") == \
+        sweep_csv_without_seconds(tmp_path / "spawn.csv")
+
+
+def test_sweep_more_workers_than_cells(tmp_path, monkeypatch):
+    graph_path, truth = sweep_inputs(tmp_path)
+    monkeypatch.setenv("RESOLV_THREADS", "64")
+    out = str(tmp_path / "one")
+    assert main(["sweep", "--graph", graph_path, "--truth", truth,
+                 "--grid", "1.5:1.5:1", "--seed", "5", "--out", out]) == 0
+    [cell] = sweep_csv_without_seconds(tmp_path / "one.csv")
+    # the one cell must be the louvain run its derived seed names
+    graph, labels = rv.load_edge_list(graph_path)
+    part = rv.louvain_maximize(graph, 1.5, seed=rv.derive_seed(5, 0, 0))
+    detected = {labels[i]: int(c) for i, c in enumerate(part.assignment)}
+    assert cell == {"gamma": "1.5", "seed_index": "0",
+                    "nmi": repr(rv.nmi(detected, rv.load_communities(truth))),
+                    "ari": repr(rv.ari(detected, rv.load_communities(truth))),
+                    "communities": str(part.B),
+                    "q": repr(rv.modularity(graph, part, 1.5))}
 
 
 def test_sweep_argument_errors(tmp_path, monkeypatch):
@@ -311,3 +361,57 @@ def test_sweep_argument_errors(tmp_path, monkeypatch):
     assert main(base + ["--grid", "1:2:3", "--threshold", "1.5"]) == 3
     monkeypatch.setenv("RESOLV_THREADS", "many")
     assert main(base + ["--grid", "1:2:3"]) == 3
+
+
+# ------------------------------------------------------------- exit codes
+
+NOT_UTF8 = b"a b\n\xff\xfe c\n"
+DCSBM = {"model": "dcsbm", "block_assignment": [0] * 5 + [1] * 5,
+         "target_degrees": 4, "omega": [[4.0, 0.2], [0.2, 4.0]]}
+EPPM = {"model": "extended_ppm", "community_sizes": [8, 8], "target_degrees": 6,
+        "omega_out": 0.2, "omega_diag": [4.0, 5.0]}
+
+
+def bad_edges(tmp_path):
+    (tmp_path / "bad.edges").write_bytes(NOT_UTF8)
+    return ["detect", "--graph", str(tmp_path / "bad.edges")]
+
+
+def bad_truth(tmp_path):
+    graph_path, _ = sweep_inputs(tmp_path)
+    (tmp_path / "bad.communities").write_bytes(NOT_UTF8)
+    return ["sweep", "--graph", graph_path, "--truth", str(tmp_path / "bad.communities"),
+            "--grid", "1:1:1"]
+
+
+def bad_config_bytes(tmp_path):
+    (tmp_path / "bad.json").write_bytes(b'{"model": "\xff"}')
+    return ["generate", "--config", str(tmp_path / "bad.json")]
+
+
+def config(model, **fields):
+    return lambda tmp_path: ["generate", "--config",
+                             write_config(tmp_path, {**model, **fields})]
+
+
+@pytest.mark.parametrize("make_argv, code", [
+    (bad_edges, 2),
+    (bad_truth, 2),
+    (bad_config_bytes, 2),
+    (config(DCSBM, target_degrees="x"), 3),
+    (config(DCSBM, target_degrees=[1, "a"] + [1] * 8), 3),
+    (config(DCSBM, block_assignment=[0.5] * 10), 3),
+    (config(DCSBM, omega=[[1.0, 2.0], [3.0]]), 3),
+    (config(EPPM, target_degrees="x"), 3),
+    (config(EPPM, community_sizes="x"), 3),
+    (config(EPPM, community_sizes=[10 ** 30]), 3),
+    (config(EPPM, omega_out=[0.2]), 3),
+    (config(EPPM, omega_diag={"a": 1}), 3),
+    (config({"model": "er", "m": 5}, n=True), 3),
+], ids=["edges-not-utf8", "truth-not-utf8", "config-not-utf8", "degrees-string",
+        "degrees-list-with-string", "fractional-blocks", "ragged-omega",
+        "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
+        "omega-diag-object", "n-boolean"])
+def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
+    assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
+    assert "internal error" not in capsys.readouterr().err
