@@ -171,7 +171,7 @@ def _sample_exact(params: DcsbmParams, rng: np.random.Generator) -> Graph:
     mean_flat[iu == iv] *= 0.5
     counts = rng.poisson(mean_flat)
     nz = counts > 0
-    return Graph.from_edges(n, zip(iu[nz].tolist(), iv[nz].tolist(), counts[nz].tolist()))
+    return Graph.from_arrays(n, iu[nz], iv[nz], counts[nz])
 
 
 def _sample_fast(params: DcsbmParams, rng: np.random.Generator) -> Graph:
@@ -182,8 +182,8 @@ def _sample_fast(params: DcsbmParams, rng: np.random.Generator) -> Graph:
     members = [np.flatnonzero(g == r) for r in range(B)]
     kappa = np.array([float(k[idx].sum()) for idx in members])
     probs = [k[idx] / kappa[r] if kappa[r] > 0 else None for r, idx in enumerate(members)]
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
+    us = [np.empty(0, dtype=np.int64)]
+    vs = [np.empty(0, dtype=np.int64)]
     for r in range(B):
         for s in range(r, B):
             if kappa[r] == 0 or kappa[s] == 0:
@@ -200,11 +200,7 @@ def _sample_fast(params: DcsbmParams, rng: np.random.Generator) -> Graph:
             v = rng.choice(members[s], size=total, p=probs[s])
             us.append(u)
             vs.append(v)
-    if not us:
-        return Graph.from_edges(params.n, [])
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
-    return Graph.from_edges(params.n, zip(u.tolist(), v.tolist()))
+    return Graph.from_arrays(params.n, np.concatenate(us), np.concatenate(vs))
 
 
 def sample_extended_ppm(params: ExtendedPpmParams, seed: int,
@@ -223,23 +219,20 @@ def sample_er(n: int, m: int, seed: int) -> Graph:
     max_m = n * (n - 1) // 2
     if m < 0 or m > max_m:
         raise ValidationError(f"edge count must be within 0..{max_m} for n={n}")
-    if m == 0:
-        return Graph.from_edges(n, [])
     rng = np.random.default_rng(seed)
     codes = rng.choice(max_m, size=m, replace=False)
     # decode lexicographic pair index: row i owns n-1-i consecutive codes
     row_starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
     i = np.searchsorted(row_starts, codes, side="right") - 1
     j = codes - row_starts[i] + i + 1
-    return Graph.from_edges(n, zip(i.tolist(), j.tolist()))
+    return Graph.from_arrays(n, i, j)
 
 
 def make_clique(n: int) -> Graph:
     """Complete simple graph on n nodes."""
     if n < 1:
         raise ValidationError("a clique needs at least one node")
-    iu, iv = np.triu_indices(n, k=1)
-    return Graph.from_edges(n, zip(iu.tolist(), iv.tolist()))
+    return Graph.from_arrays(n, *np.triu_indices(n, k=1))
 
 
 def make_plateau_fixture(seed: int = 0) -> tuple[Graph, Partition]:
@@ -253,16 +246,14 @@ def make_plateau_fixture(seed: int = 0) -> tuple[Graph, Partition]:
     so no single resolution can both keep the blob whole and pull the
     cliques apart.
     """
-    er = sample_er(100, 956, derive_seed(seed, 0))
+    er = sample_er(100, 956, derive_seed(seed, 0))  # simple: unit multiplicities
     rng = np.random.default_rng(derive_seed(seed, 1))
-    edges: list[tuple[int, int]] = [(int(u), int(v)) for u, v, w in er.edges() for _ in range(w)]
-    for base in (100, 106):
-        for i in range(base, base + 6):
-            for j in range(i + 1, base + 6):
-                edges.append((i, j))
-    edges.append((int(rng.integers(100)), 100 + int(rng.integers(6))))
-    edges.append((int(rng.integers(100)), 106 + int(rng.integers(6))))
-    edges.append((100 + int(rng.integers(6)), 106 + int(rng.integers(6))))
-    graph = Graph.from_edges(112, edges)
+    ci, cj = np.triu_indices(6, k=1)
+    # the seeded output fixes the draw order: each bridge's two ends in turn
+    bridges = np.array([(rng.integers(100), 100 + rng.integers(6)),
+                        (rng.integers(100), 106 + rng.integers(6)),
+                        (100 + rng.integers(6), 106 + rng.integers(6))])
+    graph = Graph.from_arrays(112, np.concatenate([er.edge_u, ci + 100, ci + 106, bridges[:, 0]]),
+                              np.concatenate([er.edge_v, cj + 100, cj + 106, bridges[:, 1]]))
     truth = partition_stats(graph, [0] * 100 + [1] * 6 + [2] * 6)
     return graph, truth

@@ -1,5 +1,9 @@
 """Undirected multigraph container, edge-list I/O, and partition statistics.
 
+Every graph comes from one builder, ``Graph.from_arrays``: loaded edge
+lists, sampled graphs, induced subgraphs, each Louvain level and the
+community quotient behind ``partition_stats`` alike.
+
 Conventions used everywhere downstream:
 
 * Nodes are dense integers 0..n-1. Loaders keep the original labels around
@@ -44,8 +48,6 @@ class Graph:
         Repeated pairs accumulate multiplicity. Endpoint order within a pair
         does not matter.
         """
-        if n < 0:
-            raise ValidationError("node count must be nonnegative")
         us, vs, ws = [], [], []
         for e in edges:
             if len(e) == 2:
@@ -56,41 +58,40 @@ class Graph:
             us.append(u)
             vs.append(v)
             ws.append(w)
-        u = np.asarray(us, dtype=np.int64).reshape(-1)
-        v = np.asarray(vs, dtype=np.int64).reshape(-1)
-        w = np.asarray(ws, dtype=np.int64).reshape(-1)
-        if u.size:
-            if u.min(initial=0) < 0 or v.min(initial=0) < 0 or max(u.max(), v.max()) >= n:
-                raise ValidationError("edge endpoint outside 0..n-1")
-            if (w < 1).any():
-                raise ValidationError("edge multiplicity must be a positive integer")
-        return cls._from_arrays(n, u, v, w)
+        return cls.from_arrays(n, us, vs, ws)
 
     @classmethod
-    def _from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> "Graph":
+    def from_arrays(cls, n: int, u, v, w=None) -> "Graph":
+        """Build a graph on ``n`` nodes from parallel endpoint arrays.
+
+        ``w`` holds each edge's multiplicity (default 1). Repeated pairs
+        accumulate multiplicity and endpoint order within a pair does not
+        matter. Endpoints must be integers in 0..n-1, multiplicities
+        integers >= 1.
+        """
+        if n < 0:
+            raise ValidationError("node count must be nonnegative")
+        u = _int64(u, "edge endpoints")
+        v = _int64(v, "edge endpoints")
+        w = np.ones(u.size, dtype=np.int64) if w is None else _int64(w, "edge multiplicities")
+        if not u.size == v.size == w.size:
+            raise ValidationError("edge arrays differ in length")
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
-        if lo.size:
-            order = np.lexsort((hi, lo))
-            lo, hi, w = lo[order], hi[order], w[order]
-            # merge runs of identical pairs
-            new_run = np.empty(lo.size, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            starts = np.flatnonzero(new_run)
-            lo = lo[starts]
-            hi = hi[starts]
-            w = np.add.reduceat(w, starts)
-        degrees = np.zeros(n, dtype=np.int64)
-        if lo.size:
-            loops = lo == hi
-            np.add.at(degrees, lo[~loops], w[~loops])
-            np.add.at(degrees, hi[~loops], w[~loops])
-            np.add.at(degrees, lo[loops], 2 * w[loops])
+        if lo.min(initial=0) < 0 or hi.max(initial=-1) >= n:
+            raise ValidationError("edge endpoint outside 0..n-1")
+        if w.min(initial=1) < 1:
+            raise ValidationError("edge multiplicity must be a positive integer")
+        # one sortable key per canonical pair; np.unique merges parallel edges
+        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+        w = np.bincount(inverse, weights=w, minlength=keys.size).astype(np.int64)
+        lo, hi = np.divmod(keys, max(n, 1))
+        # a self-loop lands on its node from both ends: degree 2w
+        degrees = (np.bincount(lo, weights=w, minlength=n)
+                   + np.bincount(hi, weights=w, minlength=n)).astype(np.int64)
         m = int(w.sum())
-        g = cls(n=n, edge_u=lo, edge_v=hi, edge_w=w, degrees=degrees, m=m)
         assert int(degrees.sum()) == 2 * m
-        return g
+        return cls(n=n, edge_u=lo, edge_v=hi, edge_w=w, degrees=degrees, m=m)
 
     @cached_property
     def _pair_index(self) -> dict:
@@ -105,6 +106,15 @@ class Graph:
         """Yield canonical (u, v, multiplicity) triples, u <= v, sorted."""
         for a, b, c in zip(self.edge_u, self.edge_v, self.edge_w):
             yield int(a), int(b), int(c)
+
+
+def _int64(values, what: str) -> np.ndarray:
+    """``values`` as a flat int64 array; non-integral numbers are rejected."""
+    a = np.asarray(values).reshape(-1)
+    if a.dtype.kind not in "biu":
+        if a.dtype.kind != "f" or not (np.isfinite(a) & (a == np.trunc(a))).all():
+            raise ValidationError(f"{what} must be integers")
+    return a.astype(np.int64, copy=False)
 
 
 @contextmanager
@@ -149,8 +159,7 @@ def load_edge_list(path) -> tuple[Graph, list[str]]:
             vs.append(pair[1])
     if not us:
         raise ParseError(f"{path}: no edges found")
-    g = Graph.from_edges(len(index), zip(us, vs))
-    return g, list(index)
+    return Graph.from_arrays(len(index), us, vs), list(index)
 
 
 def write_edge_list(graph: Graph, path, labels: Sequence[str] | None = None) -> None:
@@ -225,12 +234,8 @@ def induced_subgraph(graph: Graph, nodes) -> tuple[Graph, dict[int, int]]:
     remap = np.full(graph.n, -1, dtype=np.int64)
     remap[idx] = np.arange(idx.size)
     keep = (remap[graph.edge_u] >= 0) & (remap[graph.edge_v] >= 0)
-    sub = Graph._from_arrays(
-        int(idx.size),
-        remap[graph.edge_u[keep]],
-        remap[graph.edge_v[keep]],
-        graph.edge_w[keep].copy(),
-    )
+    sub = Graph.from_arrays(int(idx.size), remap[graph.edge_u[keep]],
+                            remap[graph.edge_v[keep]], graph.edge_w[keep])
     return sub, {int(o): int(n) for o, n in zip(idx, remap[idx])}
 
 
@@ -289,31 +294,18 @@ def partition_stats(graph: Graph, assignment) -> Partition:
             f"assignment covers {a.size} nodes but the graph has {graph.n}")
     labels, dense = np.unique(a, return_inverse=True)
     B = int(labels.size)
-    n_r = np.bincount(dense, minlength=B)
-    kappa_r = np.bincount(dense, weights=graph.degrees.astype(np.float64), minlength=B)
-    kappa_r = kappa_r.astype(np.int64)
-    cu = dense[graph.edge_u]
-    cv = dense[graph.edge_v]
-    internal = cu == cv
-    m_r = np.bincount(cu[internal], weights=graph.edge_w[internal].astype(np.float64), minlength=B)
-    m_r = m_r.astype(np.int64)
-    inter: dict[tuple[int, int], int] = {}
-    if (~internal).any():
-        ru = cu[~internal]
-        rv = cv[~internal]
-        w = graph.edge_w[~internal]
-        lo = np.minimum(ru, rv)
-        hi = np.maximum(ru, rv)
-        key = lo * B + hi
-        uniq, inv = np.unique(key, return_inverse=True)
-        sums = np.bincount(inv, weights=w.astype(np.float64)).astype(np.int64)
-        for kcode, c in zip(uniq, sums):
-            inter[(int(kcode) // B, int(kcode) % B)] = int(c)
+    # the community quotient: its loops are the m_r, its other edges the m_rs
+    quot = Graph.from_arrays(B, dense[graph.edge_u], dense[graph.edge_v], graph.edge_w)
+    loops = quot.edge_u == quot.edge_v
+    m_r = np.zeros(B, dtype=np.int64)
+    m_r[quot.edge_u[loops]] = quot.edge_w[loops]
+    inter = {(int(r), int(s)): int(c) for r, s, c in
+             zip(quot.edge_u[~loops], quot.edge_v[~loops], quot.edge_w[~loops])}
     p = Partition(
         assignment=dense,
         B=B,
-        n_r=n_r,
-        kappa_r=kappa_r,
+        n_r=np.bincount(dense, minlength=B),
+        kappa_r=quot.degrees,
         m_r=m_r,
         m=graph.m,
         n=graph.n,

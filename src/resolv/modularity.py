@@ -116,37 +116,22 @@ def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
     """
     any_cycle_moved = False
     while True:
-        eu = graph.edge_u
-        ev = graph.edge_v
-        ew = graph.edge_w.astype(np.float64)
-        k = graph.degrees.astype(np.float64)
-        membership = np.arange(graph.n, dtype=np.int64)
+        level = graph
+        membership = np.arange(graph.n, dtype=np.int64)  # original node -> level node
         init = assignment
         cycle_moved = False
         while True:
-            comm, moved = _local_moving(eu, ev, ew, k, m, gamma, rng, tol, check,
-                                        init=init)
-            membership = comm[membership]
+            comm, moved = _local_moving(level, m, gamma, rng, tol, check, init=init)
             cycle_moved = cycle_moved or moved
             if not moved:
                 break
             # aggregate: one super-node per surviving community
             labels, dense = np.unique(comm, return_inverse=True)
-            membership = _relabel(membership, comm, dense)
-            b = int(labels.size)
-            au = dense[eu]
-            av = dense[ev]
-            lo = np.minimum(au, av)
-            hi = np.maximum(au, av)
-            key = lo * b + hi
-            uniq, inv = np.unique(key, return_inverse=True)
-            w = np.bincount(inv, weights=ew)
-            eu = uniq // b
-            ev = uniq % b
-            ew = w
-            k = np.bincount(dense, weights=k, minlength=b)
+            membership = dense[membership]
+            level = Graph.from_arrays(int(labels.size), dense[level.edge_u],
+                                      dense[level.edge_v], level.edge_w)
             init = None  # fresh super-nodes start as singletons
-        assignment = membership
+        assignment = comm[membership]
         any_cycle_moved = any_cycle_moved or cycle_moved
         if not cycle_moved:
             return assignment, any_cycle_moved
@@ -162,15 +147,12 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
     smaller (node, target) pair.
     """
     n = graph.n
-    eu = graph.edge_u
-    ev = graph.edge_v
-    ew = graph.edge_w.astype(np.float64)
     k = graph.degrees.astype(np.float64)
-    indptr, nbr, wgt = _csr(n, eu, ev, ew)
+    indptr, nbr, wgt = _csr(graph)
     coef = gamma / (2.0 * m)
 
     comm = np.asarray(assignment, dtype=np.int64).copy()
-    q = _scratch_q(eu, ev, ew, k, comm, m, gamma)
+    q = _scratch_q(graph, comm, m, gamma)
     improved_any = False
     while True:
         start_q = q
@@ -218,7 +200,7 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
             locked[v] = True
             cur_q += delta
             if check:
-                scratch = _scratch_q(eu, ev, ew, k, cur, m, gamma)
+                scratch = _scratch_q(graph, cur, m, gamma)
                 assert abs(scratch - cur_q) <= 1e-9, (scratch, cur_q)
             if cur_q > best_prefix_q:
                 best_prefix_q = cur_q
@@ -231,18 +213,7 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
             return comm, improved_any
 
 
-def _relabel(membership: np.ndarray, comm: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    # membership currently points at raw community ids of this level;
-    # translate through the dense relabeling used for aggregation
-    lookup = np.empty(comm.size, dtype=np.int64)
-    lookup[:] = -1
-    lookup[comm] = dense
-    out = lookup[membership]
-    assert (out >= 0).all()
-    return out
-
-
-def _local_moving(eu, ev, ew, k, m, gamma, rng, tol, check,
+def _local_moving(level: Graph, m, gamma, rng, tol, check,
                   init=None) -> tuple[np.ndarray, bool]:
     """One node-moving phase on the current level graph.
 
@@ -250,8 +221,9 @@ def _local_moving(eu, ev, ew, k, m, gamma, rng, tol, check,
     the node count, gaps allowed) when given. Returns the per-node community
     array and whether any move was accepted.
     """
-    n = k.size
-    indptr, nbr, wgt = _csr(n, eu, ev, ew)
+    n = level.n
+    k = level.degrees.astype(np.float64)
+    indptr, nbr, wgt = _csr(level)
     if init is None:
         comm = np.arange(n, dtype=np.int64)
     else:
@@ -262,7 +234,7 @@ def _local_moving(eu, ev, ew, k, m, gamma, rng, tol, check,
     coef = gamma / (2.0 * m)
     min_gain = tol * m  # gains below are scaled by m relative to Q
 
-    q = _scratch_q(eu, ev, ew, k, comm, m, gamma)
+    q = _scratch_q(level, comm, m, gamma) if check else None  # tracked only to be checked
     any_move = False
     improved = True
     while improved:
@@ -300,12 +272,12 @@ def _local_moving(eu, ev, ew, k, m, gamma, rng, tol, check,
                 comm_size[best_c] += 1
                 if comm_size[ci] == 0:
                     heapq.heappush(free, ci)
-                q_before = q
-                q += (best_gain - stay) / m
                 improved = True
                 any_move = True
                 if check:
-                    q_scratch = _scratch_q(eu, ev, ew, k, comm, m, gamma)
+                    q_before = q
+                    q += (best_gain - stay) / m
+                    q_scratch = _scratch_q(level, comm, m, gamma)
                     assert abs(q_scratch - q) <= 1e-9, (q_scratch, q)
                     assert q > q_before
             else:
@@ -313,11 +285,12 @@ def _local_moving(eu, ev, ew, k, m, gamma, rng, tol, check,
     return comm, any_move
 
 
-def _csr(n, eu, ev, ew):
-    loops = eu == ev
-    u = eu[~loops]
-    v = ev[~loops]
-    w = ew[~loops]
+def _csr(graph: Graph):
+    n = graph.n
+    loops = graph.edge_u == graph.edge_v
+    u = graph.edge_u[~loops]
+    v = graph.edge_v[~loops]
+    w = graph.edge_w[~loops].astype(np.float64)
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
     ww = np.concatenate([w, w])
@@ -329,9 +302,9 @@ def _csr(n, eu, ev, ew):
     return indptr, dst.astype(np.int64), ww
 
 
-def _scratch_q(eu, ev, ew, k, comm, m, gamma) -> float:
-    internal = comm[eu] == comm[ev]
-    m_in = float(ew[internal].sum())
+def _scratch_q(graph: Graph, comm, m, gamma) -> float:
+    internal = comm[graph.edge_u] == comm[graph.edge_v]
+    m_in = float(graph.edge_w[internal].sum())
     b = int(comm.max()) + 1
-    kap = np.bincount(comm, weights=k, minlength=b)
+    kap = np.bincount(comm, weights=graph.degrees, minlength=b)
     return m_in / m - gamma * float(np.sum((kap / (2.0 * m)) ** 2))

@@ -8,6 +8,7 @@ Slow on purpose; only run on small inputs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 
 def set_partitions(n: int):
@@ -96,3 +97,40 @@ def ari_paircount(left: dict, right: dict) -> float:
     if denom == 0:
         return 1.0
     return numer / denom
+
+
+def canonical_multigraph(n: int, edges):
+    """Merged (u, v) -> multiplicity with u <= v, and the degree list.
+
+    ``edges`` holds (u, v) or (u, v, multiplicity) tuples. A self-loop adds
+    2 * multiplicity to its node's degree.
+    """
+    pairs: Counter = Counter()
+    degrees = [0] * n
+    for e in edges:
+        u, v, w = e if len(e) == 3 else (*e, 1)
+        pairs[(min(u, v), max(u, v))] += w
+        degrees[u] += w
+        degrees[v] += w
+    return dict(pairs), degrees
+
+
+def community_counts(edges, assignment):
+    """Per-community tallies straight from an (u, v, multiplicity) list.
+
+    Returns (m_r, m_rs, kappa_r) as dicts keyed by community label, with
+    m_rs keyed by (r, s), r < s. A self-loop is internal and adds twice its
+    multiplicity to kappa.
+    """
+    m_r: Counter = Counter()
+    m_rs: Counter = Counter()
+    kappa: Counter = Counter()
+    for u, v, w in edges:
+        r, s = assignment[u], assignment[v]
+        if r == s:
+            m_r[r] += w
+        else:
+            m_rs[(min(r, s), max(r, s))] += w
+        kappa[r] += w
+        kappa[s] += w
+    return dict(m_r), dict(m_rs), dict(kappa)

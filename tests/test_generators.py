@@ -101,9 +101,11 @@ def test_zero_density_gives_empty_graph():
     params = rv.DcsbmParams(block_assignment=np.zeros(5, dtype=int),
                             target_degrees=np.full(5, 3.0),
                             omega=np.zeros((1, 1)))
-    g = rv.sample_dcsbm(params, seed=0)
-    assert g.m == 0
-    assert g.n == 5
+    for method in ("auto", "fast"):
+        g = rv.sample_dcsbm(params, seed=0, method=method)
+        assert g.m == 0
+        assert g.n == 5
+        assert g.degrees.tolist() == [0] * 5
 
 
 def test_dcsbm_validation_errors():
@@ -152,7 +154,9 @@ def test_er_complete_and_empty_and_overfull():
     g = rv.sample_er(4, 6, seed=0)
     assert sorted((u, v) for u, v, _ in g.edges()) == [(0, 1), (0, 2), (0, 3),
                                                        (1, 2), (1, 3), (2, 3)]
-    assert rv.sample_er(4, 0, seed=0).m == 0
+    for n in (0, 1, 4):
+        empty = rv.sample_er(n, 0, seed=0)
+        assert (empty.n, empty.m, empty.edge_u.size) == (n, 0, 0)
     with pytest.raises(rv.ValidationError):
         rv.sample_er(4, 7, seed=0)
 

@@ -79,6 +79,22 @@ def test_edge_list_roundtrip(tmp_path):
     assert sorted(g2.degrees.tolist()) == sorted(g.degrees.tolist())
 
 
+@pytest.mark.parametrize("n, edges, reason", [
+    (-1, [], "nonnegative"),
+    (3, [(0, 3, 1)], "outside"),
+    (3, [(-1, 1, 1)], "outside"),
+    (3, [(0, 1, 0)], "multiplicity"),
+    (3, [(0, 1, 2.5)], "multiplicities must be integers"),
+    (3, [(0.9, 1, 1)], "endpoints must be integers"),
+])
+def test_graph_construction_rejects(n, edges, reason):
+    with pytest.raises(rv.ValidationError, match=reason):
+        rv.Graph.from_edges(n, edges)
+    u, v, w = ([e[i] for e in edges] for i in range(3))
+    with pytest.raises(rv.ValidationError, match=reason):
+        rv.Graph.from_arrays(n, np.array(u), np.array(v), np.array(w))
+
+
 def test_induced_subgraph_drops_boundary(two_triangles):
     sub, mapping = rv.induced_subgraph(two_triangles, [0, 1, 2])
     assert sub.n == 3
