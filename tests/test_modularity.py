@@ -120,6 +120,49 @@ def test_louvain_local_optimality_post_condition():
                 assert q_moved <= q + 1e-12
 
 
+def test_louvain_local_optimality_above_chain_refine_limit():
+    # above 32 nodes no chain refinement runs, so the final zero-move pass of
+    # the node-moving queue on the original graph is the only certificate
+    planted, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
+        community_sizes=[12] * 5, target_degrees=np.full(60, 6.0),
+        omega_out=0.3, omega_diag=[6.0] * 5), seed=2)
+    graphs = [rv.sample_er(40, 100, 1), rv.sample_er(80, 240, 2),
+              rv.sample_er(60, 150, 3), planted]
+    rng = np.random.default_rng(15)
+    for trial, g in enumerate(graphs):
+        assert g.n > 32
+        gamma = float(rng.uniform(0.3, 2.5))
+        p = rv.louvain_maximize(g, gamma, seed=trial)
+        again = rv.louvain_maximize(g, gamma, seed=trial)
+        assert p.assignment.tolist() == again.assignment.tolist()
+        edges = list(g.edges())
+        a = p.assignment.tolist()
+        q = modularity_direct(edges, a, gamma)
+        # no pairwise merge helps
+        for r in range(p.B):
+            for s in range(r + 1, p.B):
+                merged = [r if c == s else c for c in a]
+                assert modularity_direct(edges, merged, gamma) <= q + 1e-12
+        # no single-node move helps (including into a fresh community)
+        for i in range(g.n):
+            for target in range(p.B + 1):
+                if target == a[i]:
+                    continue
+                moved = a.copy()
+                moved[i] = target
+                assert modularity_direct(edges, moved, gamma) <= q + 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.5, 3.0, 20.0])
+def test_louvain_check_mode_on_multi_level_graph(gamma):
+    # 112 nodes: the incremental-Q asserts run inside the queue on every
+    # level, not only on the tiny graphs the other check=True tests use
+    g, _ = rv.make_plateau_fixture(seed=0)
+    p = rv.louvain_maximize(g, gamma, seed=0, check=True)
+    plain = rv.louvain_maximize(g, gamma, seed=0)
+    assert p.assignment.tolist() == plain.assignment.tolist()
+
+
 def test_louvain_plateau_fixture_merge_error_regimes():
     g, truth = rv.make_plateau_fixture(seed=0)
     rand_nodes = range(100)
