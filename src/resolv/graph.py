@@ -16,7 +16,7 @@ Conventions used everywhere downstream:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -246,6 +246,9 @@ class Partition:
     kappa_r    : total degree per community
     m_r        : internal edge count per community (self-loops count once)
     m, n       : edge/node totals of the underlying graph
+
+    The inter-community counts behind ``m_rs`` and ``inter_pairs`` are
+    built from the community quotient graph on first use.
     """
 
     assignment: np.ndarray
@@ -255,7 +258,14 @@ class Partition:
     m_r: np.ndarray
     m: int
     n: int
-    _inter: Mapping[tuple[int, int], int]
+    _quotient: Graph = field(repr=False)
+
+    @cached_property
+    def _inter(self) -> dict[tuple[int, int], int]:
+        q = self._quotient
+        cross = q.edge_u != q.edge_v
+        return {(int(r), int(s)): int(c) for r, s, c in
+                zip(q.edge_u[cross], q.edge_v[cross], q.edge_w[cross])}
 
     def m_rs(self, r: int, s: int) -> int:
         """Edge count between distinct communities r and s."""
@@ -297,8 +307,6 @@ def partition_stats(graph: Graph, assignment) -> Partition:
     loops = quot.edge_u == quot.edge_v
     m_r = np.zeros(B, dtype=np.int64)
     m_r[quot.edge_u[loops]] = quot.edge_w[loops]
-    inter = {(int(r), int(s)): int(c) for r, s, c in
-             zip(quot.edge_u[~loops], quot.edge_v[~loops], quot.edge_w[~loops])}
     p = Partition(
         assignment=dense,
         B=B,
@@ -307,8 +315,8 @@ def partition_stats(graph: Graph, assignment) -> Partition:
         m_r=m_r,
         m=graph.m,
         n=graph.n,
-        _inter=inter,
+        _quotient=quot,
     )
-    assert int(p.m_r.sum()) + sum(inter.values()) == graph.m
+    assert int(p.m_r.sum()) + int(quot.edge_w[~loops].sum()) == graph.m
     assert int(p.kappa_r.sum()) == 2 * graph.m
     return p

@@ -136,6 +136,10 @@ def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
             # aggregate: one super-node per surviving community
             labels, dense = np.unique(comm, return_inverse=True)
             membership = dense[membership]
+            if labels.size == 1:
+                # a lone super-node cannot move, and rng.permutation(1) draws nothing
+                comm = np.zeros(1, dtype=np.int64)
+                break
             level = Graph.from_arrays(int(labels.size), dense[level.edge_u],
                                       dense[level.edge_v], level.edge_w)
             init = None  # fresh super-nodes start as singletons
@@ -153,62 +157,84 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
     best prefix of the chain beats the starting partition by more than tol
     it is kept and another round starts. Deterministic: ties prefer the
     smaller (node, target) pair.
+
+    Each node's link weights to neighbouring communities are built once per
+    round and then kept up to date: a step touches only the moved node's
+    neighbours. Multiplicities are integers, so every link weight and kappa
+    is an exactly represented integer-valued float and the updates are
+    exact. A step scans its candidate targets from two ascending lists: the
+    nonempty communities (``live``), and those plus the lowest empty one
+    (``with_fresh``). A node alone in its community gains nothing by
+    detaching, so it scans ``live``; every other node scans ``with_fresh``.
     """
     n = graph.n
-    k = graph.degrees.astype(np.float64)
+    k = graph.degrees.astype(np.float64).tolist()
     indptr, nbr, wgt = _csr(graph)
+    start, nbr, wgt = indptr.tolist(), nbr.tolist(), wgt.tolist()
+    adj = [list(zip(nbr[start[v]:start[v + 1]], wgt[start[v]:start[v + 1]]))
+           for v in range(n)]
     coef = gamma / (2.0 * m)
 
-    comm = np.asarray(assignment, dtype=np.int64).copy()
+    comm = np.asarray(assignment, dtype=np.int64)
     q = _scratch_q(graph, comm, m, gamma)
+    comm = comm.tolist()
     improved_any = False
     while True:
         start_q = q
         cur = comm.copy()
-        kappa = np.bincount(cur, weights=k, minlength=n)
-        size = np.bincount(cur, minlength=n)
-        locked = np.zeros(n, dtype=bool)
+        kappa = [0.0] * n
+        size = [0] * n
+        for v, c in enumerate(cur):
+            kappa[c] += k[v]
+            size[c] += 1
+        links: list[dict[int, float]] = []
+        for v in range(n):
+            lv: dict[int, float] = {}
+            for j, w in adj[v]:
+                cj = cur[j]
+                lv[cj] = lv.get(cj, 0.0) + w
+            links.append(lv)
+        locked = [False] * n
         cur_q = q
         best_prefix_q = -np.inf
         best_prefix = None
         for _ in range(n):
-            step = None  # (delta, node, target)
-            # size changes only when a step is applied, so the lowest empty
-            # community (the target of a detach) is fixed for this scan
-            empty = np.flatnonzero(size == 0)
-            first_empty = int(empty[0]) if empty.size else -1
+            live = [c for c in range(n) if size[c]]
+            fresh = size.index(0) if len(live) < n else -1
+            with_fresh = [c for c in range(n) if size[c] or c == fresh]
+            best_delta, best_v, best_c = -np.inf, -1, -1
             for v in range(n):
                 if locked[v]:
                     continue
-                cv = int(cur[v])
-                links: dict[int, float] = {}
-                for t in range(indptr[v], indptr[v + 1]):
-                    cj = int(cur[nbr[t]])
-                    links[cj] = links.get(cj, 0.0) + wgt[t]
+                cv = cur[v]
+                lv = links[v]
                 kv = k[v]
-                leave = links.get(cv, 0.0) - coef * kv * (kappa[cv] - kv)
-                fresh = -1 if size[cv] == 1 else first_empty
-                for c in range(n):
-                    if c == cv or (size[c] == 0 and c != fresh):
+                leave = lv.get(cv, 0.0) - coef * kv * (kappa[cv] - kv)
+                for c in live if size[cv] == 1 else with_fresh:
+                    if c == cv:
                         continue
-                    gain = links.get(c, 0.0) - coef * kv * kappa[c]
+                    gain = lv.get(c, 0.0) - coef * kv * kappa[c]
                     delta = (gain - leave) / m
                     # scan order is ascending (v, c), so first-seen wins ties
-                    if step is None or delta > step[0]:
-                        step = (delta, v, c)
-            if step is None:
+                    if delta > best_delta:
+                        best_delta, best_v, best_c = delta, v, c
+            if best_v < 0:
                 break
-            delta, v, c = step
-            old = int(cur[v])
+            v, c = best_v, best_c
+            old = cur[v]
             cur[v] = c
             kappa[old] -= k[v]
             kappa[c] += k[v]
             size[old] -= 1
             size[c] += 1
             locked[v] = True
-            cur_q += delta
+            for j, w in adj[v]:
+                lj = links[j]
+                lj[old] -= w
+                lj[c] = lj.get(c, 0.0) + w
+            cur_q += best_delta
             if check:
-                scratch = _scratch_q(graph, cur, m, gamma)
+                scratch = _scratch_q(graph, np.asarray(cur), m, gamma)
                 assert abs(scratch - cur_q) <= 1e-9, (scratch, cur_q)
             if cur_q > best_prefix_q:
                 best_prefix_q = cur_q
@@ -218,7 +244,7 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
             q = best_prefix_q
             improved_any = True
         else:
-            return comm, improved_any
+            return np.asarray(comm, dtype=np.int64), improved_any
 
 
 def _local_moving(level: Graph, m, gamma, rng, tol, check,

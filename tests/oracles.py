@@ -134,3 +134,68 @@ def community_counts(edges, assignment):
         kappa[r] += w
         kappa[s] += w
     return dict(m_r), dict(m_rs), dict(kappa)
+
+
+def chain_refine_direct(n: int, edges, gamma: float, tol: float, assignment):
+    """Kernighan-Lin chain rounds, as louvain_maximize documents them.
+
+    Every step recounts each node's links and every community's degree sum
+    from the (u, v, multiplicity) edge list, scans (node, target) pairs in
+    ascending order and takes the first best move: any nonempty community
+    other than the node's own, plus the lowest empty one unless the node is
+    alone. Moved nodes are locked; a round keeps its best prefix when that
+    beats the start by more than tol. Returns the final assignment and
+    whether any round was kept.
+    """
+    m = sum(w for _, _, w in edges)
+    degree = [0] * n
+    for u, v, w in edges:
+        degree[u] += w
+        degree[v] += w
+    coef = gamma / (2.0 * m)
+    comm = list(assignment)
+    q = modularity_direct(edges, comm, gamma)
+    improved = False
+    while True:
+        cur = list(comm)
+        locked = [False] * n
+        cur_q = q
+        best_q, best = -math.inf, None
+        for _ in range(n):
+            kappa = [0.0] * n
+            size = [0] * n
+            for v in range(n):
+                kappa[cur[v]] += degree[v]
+                size[cur[v]] += 1
+            empty = [c for c in range(n) if size[c] == 0]
+            step = None  # (delta, node, target)
+            for v in range(n):
+                if locked[v]:
+                    continue
+                links: dict = {}
+                for a, b, w in edges:
+                    if a != b and v in (a, b):
+                        c = cur[b if a == v else a]
+                        links[c] = links.get(c, 0.0) + w
+                cv = cur[v]
+                kv = float(degree[v])
+                leave = links.get(cv, 0.0) - coef * kv * (kappa[cv] - kv)
+                targets = [c for c in range(n) if size[c] and c != cv]
+                if size[cv] > 1 and empty:
+                    targets = sorted(targets + [empty[0]])
+                for c in targets:
+                    delta = ((links.get(c, 0.0) - coef * kv * kappa[c]) - leave) / m
+                    if step is None or delta > step[0]:
+                        step = (delta, v, c)
+            if step is None:
+                break
+            delta, v, c = step
+            cur[v] = c
+            locked[v] = True
+            cur_q += delta
+            if cur_q > best_q:
+                best_q, best = cur_q, list(cur)
+        if best is not None and best_q > q + tol:
+            comm, q, improved = best, best_q, True
+        else:
+            return comm, improved

@@ -5,7 +5,7 @@ import pytest
 
 import resolv as rv
 from conftest import as_mapping, random_multigraph
-from oracles import best_partition_q, modularity_direct, set_partitions
+from oracles import best_partition_q, chain_refine_direct, modularity_direct, set_partitions
 
 
 def test_two_triangles_known_value(two_triangles):
@@ -99,11 +99,25 @@ def test_louvain_near_exhaustive_optimum_small():
 
 def test_louvain_local_optimality_post_condition():
     rng = np.random.default_rng(14)
+    cases = []  # (graph, gamma, seed, check)
     for trial in range(10):
         n, edges = random_multigraph(rng, n_max=10)
-        g = rv.Graph.from_edges(n, edges)
-        gamma = float(rng.uniform(0.3, 2.5))
-        p = rv.louvain_maximize(g, gamma, seed=trial)
+        cases.append((rv.Graph.from_edges(n, edges), float(rng.uniform(0.3, 2.5)), trial, False))
+    # 20-32 nodes with loops and parallel edges: check=True asserts the
+    # chain refinement's tracked Q after every step in this range too
+    planted, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
+        community_sizes=[9] * 3, target_degrees=np.full(27, 5.0),
+        omega_out=0.3, omega_diag=[3.0] * 3), seed=4)
+    for base in (rv.sample_er(20, 45, 11), rv.sample_er(32, 70, 12), planted):
+        loops = [(v, v, 1 + v % 3) for v in range(0, base.n, 5)]
+        parallel = [(u, v, 2) for u, v, _ in list(base.edges())[::7]]
+        g = rv.Graph.from_edges(base.n, list(base.edges()) + loops + parallel)
+        assert 12 < g.n <= 32
+        for gamma in (0.5, 1.0, 2.0):
+            cases.append((g, gamma, len(cases), True))
+    for g, gamma, seed, check in cases:
+        n = g.n
+        p = rv.louvain_maximize(g, gamma, seed=seed, check=check)
         q = rv.modularity(g, p, gamma)
         # no pairwise merge helps
         for r in range(p.B):
@@ -151,6 +165,26 @@ def test_louvain_local_optimality_above_chain_refine_limit():
                 moved = a.copy()
                 moved[i] = target
                 assert modularity_direct(edges, moved, gamma) <= q + 1e-12
+
+
+def test_chain_refine_matches_direct_reference():
+    # the chain polish keeps its link weights up to date step by step; the
+    # oracle recounts them from the edge list at every step. Moves, tie-breaks
+    # and kept rounds must agree exactly.
+    from resolv.modularity import _chain_refine
+    rng = np.random.default_rng(16)
+    kept = 0
+    for trial in range(40):
+        n, edges = random_multigraph(rng, n_max=12)
+        g = rv.Graph.from_edges(n, edges)
+        gamma = float(rng.uniform(0.3, 2.5))
+        start = rng.integers(0, 3, size=n)
+        got, got_kept = _chain_refine(g, float(g.m), gamma, 1e-12, False, start)
+        want, want_kept = chain_refine_direct(n, list(g.edges()), gamma, 1e-12, start.tolist())
+        assert got.tolist() == want
+        assert got_kept == want_kept
+        kept += got_kept
+    assert kept > 0
 
 
 @pytest.mark.parametrize("gamma", [0.5, 3.0, 20.0])
