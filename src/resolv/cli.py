@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -42,10 +43,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as exc:
@@ -246,9 +244,7 @@ def cmd_detect(args) -> int:
     }
     if tree is not None:
         report["tree"] = tree.to_dict()
-    with open(f"{args.out}.report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _emit(report, "json", f"{args.out}.report.json", flat=None)
     print(f"B={part.B} Q(gamma={gamma_used})={report['modularity']:.6f} "
           f"-> {args.out}.communities, {args.out}.report.json")
     return EXIT_OK
@@ -324,19 +320,17 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _emit(report, fmt, out_path, flat) -> int:
-    if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    else:
-        lines = ["key,value"]
-        lines += [f"{k},{v}" for k, v in flat]
-        text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+def _emit(report, fmt, out_path, flat) -> None:
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            # streamed: a multiscale tree joined into one string first costs
+            # several MiB of peak memory
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        else:
+            lines = ["key,value"]
+            lines += [f"{k},{v}" for k, v in flat]
+            fh.write("\n".join(lines) + "\n")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -435,9 +429,7 @@ def cmd_sweep(args) -> int:
     stable = _stable_interval(rows, args.threshold)
     report = {"grid": grid.tolist(), "seeds": args.seeds, "master_seed": args.seed,
               "threshold": args.threshold, "rows": rows, "stable_interval": stable}
-    with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _emit(report, "json", f"{args.out}.json", flat=None)
     with open(f"{args.out}.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "seed_index", "nmi", "ari", "communities", "q", "seconds"])

@@ -2,7 +2,7 @@
 
 Every graph comes from one builder, ``Graph.from_arrays``: loaded edge
 lists, sampled graphs, induced subgraphs, each Louvain level and the
-community quotient behind ``partition_stats`` alike.
+inter-community counts a ``Partition`` tallies on first read.
 
 Conventions used everywhere downstream:
 
@@ -224,17 +224,44 @@ def induced_subgraph(graph: Graph, nodes) -> tuple[Graph, dict[int, int]]:
     Nodes are renumbered 0..len(nodes)-1 in increasing original id; the
     returned dict maps old ids to new. Self-loops on kept nodes survive.
     """
-    idx = np.unique(np.asarray(list(nodes), dtype=np.int64))
+    idx = np.asarray(list(nodes), dtype=np.int64)
     if idx.size == 0:
         raise ValidationError("induced subgraph needs a nonempty node set")
-    if idx[0] < 0 or idx[-1] >= graph.n:
+    if idx.min() < 0 or idx.max() >= graph.n:
         raise ValidationError("node id outside 0..n-1")
-    remap = np.full(graph.n, -1, dtype=np.int64)
-    remap[idx] = np.arange(idx.size)
-    keep = (remap[graph.edge_u] >= 0) & (remap[graph.edge_v] >= 0)
-    sub = Graph.from_arrays(int(idx.size), remap[graph.edge_u[keep]],
-                            remap[graph.edge_v[keep]], graph.edge_w[keep])
-    return sub, {int(o): int(n) for o, n in zip(idx, remap[idx])}
+    # community 0 is the node set, community 1 the rest; only 0 gets built
+    assignment = np.ones(graph.n, dtype=np.int64)
+    assignment[idx] = 0
+    members, sub = next(split_communities(graph, assignment))
+    return sub, {int(o): i for i, o in enumerate(members)}
+
+
+def split_communities(graph: Graph, assignment) -> Iterator[tuple[np.ndarray, Graph]]:
+    """Yield (member ids, induced subgraph) for communities 0, 1, ..., B-1.
+
+    ``assignment`` holds a nonnegative community id per node. Each community
+    is renumbered as by ``induced_subgraph``, members in increasing original
+    id; one sort of the nodes and one of the intra-community edges serve all.
+    """
+    a = np.asarray(assignment, dtype=np.int64).reshape(-1)
+    if a.size != graph.n:
+        raise ValidationError(
+            f"assignment covers {a.size} nodes but the graph has {graph.n}")
+    order = np.argsort(a, kind="stable")
+    size = np.bincount(a)
+    node_end = np.cumsum(size)
+    # rank: a node's position among its community's members
+    rank = np.empty(a.size, dtype=np.int64)
+    rank[order] = np.arange(a.size) - np.repeat(node_end - size, size)
+    comm = a[graph.edge_u]
+    intra = np.flatnonzero(comm == a[graph.edge_v])
+    intra = intra[np.argsort(comm[intra], kind="stable")]
+    u, v, w = rank[graph.edge_u[intra]], rank[graph.edge_v[intra]], graph.edge_w[intra]
+    edge_end = np.cumsum(np.bincount(comm[intra], minlength=size.size))
+    lo = elo = 0
+    for hi, ehi in zip(node_end.tolist(), edge_end.tolist()):
+        yield order[lo:hi], Graph.from_arrays(hi - lo, u[elo:ehi], v[elo:ehi], w[elo:ehi])
+        lo, elo = hi, ehi
 
 
 @dataclass(frozen=True)
@@ -248,7 +275,7 @@ class Partition:
     m, n       : edge/node totals of the underlying graph
 
     The inter-community counts behind ``m_rs`` and ``inter_pairs`` are
-    built from the community quotient graph on first use.
+    tallied from the edges between communities on first use.
     """
 
     assignment: np.ndarray
@@ -258,14 +285,12 @@ class Partition:
     m_r: np.ndarray
     m: int
     n: int
-    _quotient: Graph = field(repr=False)
+    _cross: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @cached_property
     def _inter(self) -> dict[tuple[int, int], int]:
-        q = self._quotient
-        cross = q.edge_u != q.edge_v
-        return {(int(r), int(s)): int(c) for r, s, c in
-                zip(q.edge_u[cross], q.edge_v[cross], q.edge_w[cross])}
+        # merged on the B-node quotient: keys come out canonical and sorted
+        return {(r, s): c for r, s, c in Graph.from_arrays(self.B, *self._cross).edges()}
 
     def m_rs(self, r: int, s: int) -> int:
         """Edge count between distinct communities r and s."""
@@ -280,12 +305,6 @@ class Partition:
         """Yield (r, s, count) for community pairs with at least one edge."""
         for (r, s), c in self._inter.items():
             yield r, s, c
-
-    def members(self, r: int) -> np.ndarray:
-        """Node ids belonging to community r."""
-        if not (0 <= r < self.B):
-            raise ValidationError("community id out of range")
-        return np.flatnonzero(self.assignment == r)
 
 
 def partition_stats(graph: Graph, assignment) -> Partition:
@@ -302,21 +321,19 @@ def partition_stats(graph: Graph, assignment) -> Partition:
             f"assignment covers {a.size} nodes but the graph has {graph.n}")
     labels, dense = np.unique(a, return_inverse=True)
     B = int(labels.size)
-    # the community quotient: its loops are the m_r, its other edges the m_rs
-    quot = Graph.from_arrays(B, dense[graph.edge_u], dense[graph.edge_v], graph.edge_w)
-    loops = quot.edge_u == quot.edge_v
-    m_r = np.zeros(B, dtype=np.int64)
-    m_r[quot.edge_u[loops]] = quot.edge_w[loops]
+    cu = dense[graph.edge_u]
+    cv = dense[graph.edge_v]
+    intra = cu == cv
     p = Partition(
         assignment=dense,
         B=B,
         n_r=np.bincount(dense, minlength=B),
-        kappa_r=quot.degrees,
-        m_r=m_r,
+        kappa_r=np.bincount(dense, weights=graph.degrees, minlength=B).astype(np.int64),
+        m_r=np.bincount(cu[intra], weights=graph.edge_w[intra], minlength=B).astype(np.int64),
         m=graph.m,
         n=graph.n,
-        _quotient=quot,
+        _cross=(cu[~intra], cv[~intra], graph.edge_w[~intra]),
     )
-    assert int(p.m_r.sum()) + int(quot.edge_w[~loops].sum()) == graph.m
+    assert int(p.m_r.sum()) + int(p._cross[2].sum()) == graph.m
     assert int(p.kappa_r.sum()) == 2 * graph.m
     return p

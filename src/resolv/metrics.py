@@ -69,10 +69,6 @@ def nmi(left: Mapping, right: Mapping) -> float:
     Two single-community partitions agree trivially and also score 1.0.
     """
     table = ContingencyTable.from_assignments(left, right)
-    return _nmi_from_table(table)
-
-
-def _nmi_from_table(table: ContingencyTable) -> float:
     counts = table.counts
     n = float(table.n)
     if _is_permutation(counts):
@@ -104,10 +100,7 @@ def ari(left: Mapping, right: Mapping) -> float:
     both one-block) count as perfect agreement.
     """
     table = ContingencyTable.from_assignments(left, right)
-    return _ari_from_table(table)
 
-
-def _ari_from_table(table: ContingencyTable) -> float:
     def comb2(x: int) -> int:
         return x * (x - 1) // 2
 

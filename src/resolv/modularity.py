@@ -102,7 +102,7 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
 
     assignment = np.arange(graph.n, dtype=np.int64)
     while True:
-        assignment, _ = _greedy_cycles(graph, m, gamma, rng, tol, check, assignment)
+        assignment = _greedy_cycles(graph, m, gamma, rng, tol, check, assignment)
         if graph.n > _KL_LIMIT:
             break
         assignment, polished = _chain_refine(graph, m, gamma, tol, check, assignment)
@@ -122,7 +122,6 @@ def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
     zero moves certifies exactly that: with no move, its queue pops every
     node once and requeues none.
     """
-    any_cycle_moved = False
     while True:
         level = graph
         membership = np.arange(graph.n, dtype=np.int64)  # original node -> level node
@@ -144,9 +143,8 @@ def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
                                       dense[level.edge_v], level.edge_w)
             init = None  # fresh super-nodes start as singletons
         assignment = comm[membership]
-        any_cycle_moved = any_cycle_moved or cycle_moved
         if not cycle_moved:
-            return assignment, any_cycle_moved
+            return assignment
 
 
 def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):

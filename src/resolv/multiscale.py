@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, Partition, induced_subgraph, partition_stats
+from .graph import Graph, Partition, partition_stats, split_communities
 from .model_selection import OddsReport, bayes_log_odds
 from .modularity import louvain_maximize
 from .resolution import rescale_gamma
@@ -115,12 +115,8 @@ def multiscale_detect(graph: Graph, gamma0: float = 0.5, seed: int = 0, *,
 
     def branch(sub: Graph, ids: np.ndarray, part: Partition, depth: int,
                node_seed: int) -> list[TreeNode]:
-        children = []
-        for r in range(part.B):
-            local = part.members(r)
-            sub_r, _ = induced_subgraph(sub, local)
-            children.append(evaluate(sub_r, ids[local], depth, derive_seed(node_seed, r)))
-        return children
+        return [evaluate(sub_r, ids[local], depth, derive_seed(node_seed, r))
+                for r, (local, sub_r) in enumerate(split_communities(sub, part.assignment))]
 
     def evaluate(sub: Graph, ids: np.ndarray, depth: int, node_seed: int) -> TreeNode:
         geff = rescale_gamma(gamma0, m_root, sub.m) if sub.m >= 1 else None

@@ -98,13 +98,10 @@ def estimate_density_matrix(graph: Graph, partition: Partition) -> DensityMatrix
     """
     _check_pair(graph, partition)
     kap = partition.kappa_r.astype(np.float64)
-    zero = np.flatnonzero(partition.kappa_r == 0)
-    if zero.size:
-        raise ValidationError(f"community {int(zero[0])} has zero total degree")
     B = partition.B
     m = float(graph.m)
     vals = np.zeros((B, B), dtype=np.float64)
-    np.fill_diagonal(vals, 4.0 * m * partition.m_r.astype(np.float64) / kap**2)
+    np.fill_diagonal(vals, _within_density(graph, partition))
     for r, s, c in partition.inter_pairs():
         d = 2.0 * c * m / (kap[r] * kap[s])
         vals[r, s] = d
@@ -179,14 +176,9 @@ def fit_extended_ppm(graph: Graph, partition: Partition) -> ExtendedPpmFit:
     _check_pair(graph, partition)
     if partition.B < 2:
         raise ValidationError("pooled fit needs at least two communities")
-    zero = np.flatnonzero(partition.kappa_r == 0)
-    if zero.size:
-        raise ValidationError(f"community {int(zero[0])} has zero total degree")
-    m = float(graph.m)
-    kap = partition.kappa_r.astype(np.float64)
-    diag = 4.0 * m * partition.m_r.astype(np.float64) / kap**2
+    diag = _within_density(graph, partition)
     a, b = pooled_counts(partition)
-    two_m = 2.0 * m
+    two_m = 2.0 * graph.m
     rem_b = two_m - b
     omega_out = (two_m - a) / rem_b if rem_b > 0 else 0.0
     return ExtendedPpmFit(omega_out=float(omega_out), omega_diag=diag)
@@ -212,6 +204,15 @@ def rescale_gamma(gamma_sub: float, parent_edges: int, sub_edges: int) -> float:
     if parent_edges < 1 or sub_edges < 1:
         raise ValidationError("edge counts must be positive")
     return gamma_sub * parent_edges / sub_edges
+
+
+def _within_density(graph: Graph, partition: Partition) -> np.ndarray:
+    """Within-community densities 4 m m_r / kappa_r**2; rejects zero degree."""
+    zero = np.flatnonzero(partition.kappa_r == 0)
+    if zero.size:
+        raise ValidationError(f"community {int(zero[0])} has zero total degree")
+    kap = partition.kappa_r.astype(np.float64)
+    return 4.0 * float(graph.m) * partition.m_r.astype(np.float64) / kap**2
 
 
 def _check_pair(graph: Graph, partition: Partition) -> None:

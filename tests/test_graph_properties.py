@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import resolv as rv
+from resolv.graph import split_communities
 from oracles import canonical_multigraph, community_counts
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -15,11 +16,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, max_n=8, max_edges=24):
     """(n, edges): duplicates and self-loops allowed, multiplicities 1..3."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     node = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(node, node, st.integers(1, 3)), max_size=24))
+    edges = draw(st.lists(st.tuples(node, node, st.integers(1, 3)), max_size=max_edges))
     return n, edges
 
 
@@ -55,3 +56,34 @@ def test_partition_stats_matches_per_edge_count(case, data):
         for s in range(r + 1, p.B):
             assert p.m_rs(r, s) == p.m_rs(s, r) == m_rs.get((r, s), 0)
     assert {(r, s): c for r, s, c in p.inter_pairs()} == m_rs
+
+
+def _oracle_subgraph(edges, keep):
+    """Canonical edges and degrees of the subgraph on ``keep``, renumbered by rank."""
+    rank = {old: new for new, old in enumerate(sorted(keep))}
+    inside = [(rank[u], rank[v], w) for u, v, w in edges if u in rank and v in rank]
+    pairs, degrees = canonical_multigraph(len(rank), inside)
+    return sorted((a, b, c) for (a, b), c in pairs.items()), degrees
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=40, max_edges=80), st.data())
+def test_split_communities_matches_canonical_oracle(case, data):
+    n, edges = case
+    g = rv.Graph.from_edges(n, edges)
+    # ids may skip values: a skipped id is an empty community
+    labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    parts = list(split_communities(g, labels))
+    assert len(parts) == max(labels) + 1
+    for r, (members, sub) in enumerate(parts):
+        keep = [i for i in range(n) if labels[i] == r]
+        assert members.tolist() == keep
+        assert sub.n == len(keep)
+        assert (list(sub.edges()), sub.degrees.tolist()) == _oracle_subgraph(edges, keep)
+
+    nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    sub, mapping = rv.induced_subgraph(g, nodes)
+    keep = sorted(set(nodes))
+    assert mapping == {old: new for new, old in enumerate(keep)}
+    assert sub.n == len(keep)
+    assert (list(sub.edges()), sub.degrees.tolist()) == _oracle_subgraph(edges, keep)
