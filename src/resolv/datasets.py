@@ -13,19 +13,9 @@ def karate_club() -> tuple[Graph, Partition]:
     """Zachary's karate club (34 nodes, 78 edges) with the observed
     two-faction split as ground truth."""
     pkg = resources.files(__package__) / "data"
-    edges = []
-    for line in (pkg / "karate_edges.txt").read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
+    edges = np.loadtxt((pkg / "karate_edges.txt").read_text().splitlines(), dtype=np.int64)
+    factions = np.loadtxt((pkg / "karate_factions.txt").read_text().splitlines(), dtype=np.int64)
     assignment = np.zeros(34, dtype=np.int64)
-    for line in (pkg / "karate_factions.txt").read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        node, comm = line.split()
-        assignment[int(node)] = int(comm)
-    graph = Graph.from_edges(34, edges)
+    assignment[factions[:, 0]] = factions[:, 1]
+    graph = Graph.from_arrays(34, edges[:, 0], edges[:, 1])
     return graph, partition_stats(graph, assignment)

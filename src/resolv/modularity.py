@@ -33,6 +33,8 @@ from .graph import Graph, Partition, partition_stats
 
 # largest graph that gets the chain-move refinement after greedy convergence
 _KL_LIMIT = 32
+# minimum Q improvement for a move, merge or chain to count
+_TOL = 1e-12
 
 
 def modularity(graph: Graph, partition: Partition, gamma: float) -> float:
@@ -68,7 +70,7 @@ def _check_gamma(gamma: float) -> None:
 
 
 def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
-                     tol: float = 1e-12, check: bool = False) -> Partition:
+                     check: bool = False) -> Partition:
     """Greedy maximization of Q(gamma).
 
     Parameters
@@ -78,8 +80,6 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     seed : drives the node visit order (one random permutation per
         node-moving phase seeds its work queue). Identical (graph, gamma,
         seed) gives an identical partition.
-    tol : minimum Q improvement for a move to count. The maximizer stops
-        when no single-node move improves Q by more than this.
     check : when True, re-derive Q from scratch after every accepted move
         and assert it matches the incrementally tracked value within 1e-9,
         and that the tracked value never decreases. Meant for tests; it is
@@ -87,7 +87,7 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
 
     At convergence no single-node move (including detaching a node into a
     community of its own) and no pairwise community merge improves Q by
-    more than tol. Ties between equally good target communities go to the
+    more than 1e-12. Ties between equally good target communities go to the
     smallest community id. On graphs with at most 32 nodes a chain-move
     refinement also runs after greedy convergence: it strings together
     locked best moves, downhill steps allowed, and keeps the best prefix.
@@ -102,10 +102,10 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
 
     assignment = np.arange(graph.n, dtype=np.int64)
     while True:
-        assignment = _greedy_cycles(graph, m, gamma, rng, tol, check, assignment)
+        assignment = _greedy_cycles(graph, m, gamma, rng, _TOL, check, assignment)
         if graph.n > _KL_LIMIT:
             break
-        assignment, polished = _chain_refine(graph, m, gamma, tol, check, assignment)
+        assignment, polished = _chain_refine(graph, m, gamma, _TOL, check, assignment)
         if not polished:
             break
 
@@ -121,7 +121,12 @@ def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
     single original-node move improves Q. A cycle whose first phase makes
     zero moves certifies exactly that: with no move, its queue pops every
     node once and requeues none.
+
+    The first cycle aggregates even when its first phase is idle. The given
+    assignment may come from outside the cycles (a chain polish), and only
+    super-node moves try merging its communities.
     """
+    aggregate_idle = True
     while True:
         level = graph
         membership = np.arange(graph.n, dtype=np.int64)  # original node -> level node
@@ -130,8 +135,9 @@ def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
         while True:
             comm, moved = _local_moving(level, m, gamma, rng, tol, check, init=init)
             cycle_moved = cycle_moved or moved
-            if not moved:
+            if not (moved or aggregate_idle):
                 break
+            aggregate_idle = False
             # aggregate: one super-node per surviving community
             labels, dense = np.unique(comm, return_inverse=True)
             membership = dense[membership]

@@ -38,17 +38,24 @@ class TreeNode:
 
     nodes is the sorted set of original graph ids; gamma_effective is the
     subgraph resolution expressed on the root graph's scale; reason says
-    why a leaf stopped (None on interior nodes).
+    why a leaf stopped (None on interior nodes). A node is recursed exactly
+    when it has children, and then it has at least two.
     """
 
     nodes: np.ndarray
     depth: int
-    decision: str
     reason: str | None = None
     odds: OddsReport | None = None
     gamma_effective: float | None = None
-    capped: bool = False
     children: list["TreeNode"] = field(default_factory=list)
+
+    @property
+    def decision(self) -> str:
+        return RECURSED if self.children else ACCEPTED
+
+    @property
+    def capped(self) -> bool:
+        return self.reason == "depth-capped"
 
     def to_dict(self) -> dict:
         return {
@@ -105,49 +112,37 @@ def multiscale_detect(graph: Graph, gamma0: float = 0.5, seed: int = 0, *,
     if max_depth < 1 or min_size < 1:
         raise ValidationError("max_depth and min_size must be >= 1")
 
-    m_root = graph.m
-    all_ids = np.arange(graph.n, dtype=np.int64)
-
-    def leaf(ids: np.ndarray, depth: int, geff: float | None, reason: str,
-             odds: OddsReport | None = None, capped: bool = False) -> TreeNode:
-        return TreeNode(nodes=ids, depth=depth, decision=ACCEPTED, reason=reason,
-                        odds=odds, gamma_effective=geff, capped=capped)
-
-    def branch(sub: Graph, ids: np.ndarray, part: Partition, depth: int,
-               node_seed: int) -> list[TreeNode]:
-        return [evaluate(sub_r, ids[local], depth, derive_seed(node_seed, r))
-                for r, (local, sub_r) in enumerate(split_communities(sub, part.assignment))]
-
     def evaluate(sub: Graph, ids: np.ndarray, depth: int, node_seed: int) -> TreeNode:
-        geff = rescale_gamma(gamma0, m_root, sub.m) if sub.m >= 1 else None
+        if depth == 0:
+            geff = gamma0  # exact; rescale_gamma(gamma0, m, m) may round away from it
+        elif sub.m >= 1:
+            geff = rescale_gamma(gamma0, graph.m, sub.m)
+        else:
+            geff = None
+        node = TreeNode(nodes=ids, depth=depth, gamma_effective=geff)
         if sub.n < min_size:
-            return leaf(ids, depth, geff, "min-size")
-        if sub.m < 1:
-            return leaf(ids, depth, geff, "no-edges")
-        if depth >= max_depth:
-            return leaf(ids, depth, geff, "depth-capped", capped=True)
+            node.reason = "min-size"
+        elif sub.m < 1:
+            node.reason = "no-edges"
+        elif depth >= max_depth:
+            node.reason = "depth-capped"
+        if node.reason:
+            return node
         part = louvain_maximize(sub, gamma0, seed=node_seed)
         if part.B == 1:
-            return leaf(ids, depth, geff, "single-community")
-        odds = bayes_log_odds(sub, part)
-        if not odds.significant_split:
-            return leaf(ids, depth, geff, "insignificant", odds=odds)
-        node = TreeNode(nodes=ids, depth=depth, decision=RECURSED, odds=odds,
-                        gamma_effective=geff)
-        node.children = branch(sub, ids, part, depth + 1, node_seed)
+            node.reason = "single-community"
+            return node
+        if depth > 0:  # the root split is never tested
+            node.odds = bayes_log_odds(sub, part)
+            if not node.odds.significant_split:
+                node.reason = "insignificant"
+                return node
+        node.children = [
+            evaluate(sub_r, ids[local], depth + 1, derive_seed(node_seed, r))
+            for r, (local, sub_r) in enumerate(split_communities(sub, part.assignment))]
         return node
 
-    if graph.n < min_size:
-        root = leaf(all_ids, 0, gamma0, "min-size")
-    else:
-        part0 = louvain_maximize(graph, gamma0, seed=seed)
-        if part0.B == 1:
-            root = leaf(all_ids, 0, gamma0, "single-community")
-        else:
-            root = TreeNode(nodes=all_ids, depth=0, decision=RECURSED,
-                            gamma_effective=gamma0)
-            root.children = branch(graph, all_ids, part0, 1, seed)
-
+    root = evaluate(graph, np.arange(graph.n, dtype=np.int64), 0, seed)
     tree = CommunityTree(root=root, gamma0=gamma0, seed=seed)
     assignment = np.full(graph.n, -1, dtype=np.int64)
     for label, node in enumerate(tree.leaves()):

@@ -173,15 +173,8 @@ def fit_ppm(graph: Graph, partition: Partition) -> PpmFit:
 
 def fit_extended_ppm(graph: Graph, partition: Partition) -> ExtendedPpmFit:
     """Per-community within-densities plus the pooled between-density."""
-    _check_pair(graph, partition)
-    if partition.B < 2:
-        raise ValidationError("pooled fit needs at least two communities")
-    diag = _within_density(graph, partition)
-    a, b = pooled_counts(partition)
-    two_m = 2.0 * graph.m
-    rem_b = two_m - b
-    omega_out = (two_m - a) / rem_b if rem_b > 0 else 0.0
-    return ExtendedPpmFit(omega_out=float(omega_out), omega_diag=diag)
+    return ExtendedPpmFit(omega_out=fit_ppm(graph, partition).omega_out,
+                          omega_diag=_within_density(graph, partition))
 
 
 def pooled_counts(partition: Partition) -> tuple[float, float]:

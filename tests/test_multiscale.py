@@ -119,6 +119,9 @@ def test_gamma_effective_tracks_subgraph_edges():
     for node in tree_nodes(tree):
         if node.depth == 1 and len(node.nodes) == 100:
             assert node.gamma_effective == pytest.approx(0.5 * 989 / 956, abs=1e-12)
+    # the root reports gamma0 exactly; 0.123 * 989 / 989 rounds away from it
+    _, tree = rv.multiscale_detect(g, gamma0=0.123, seed=0)
+    assert tree.root.gamma_effective == 0.123
 
 
 def test_isolated_nodes_become_no_edge_leaves():
