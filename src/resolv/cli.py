@@ -386,7 +386,7 @@ def _sweep_cell(cell) -> dict:
     elapsed = time.perf_counter() - started
     detected = {labels[i]: int(c) for i, c in enumerate(part.assignment)}
     return {
-        "gamma": gamma, "gamma_index": gi, "seed_index": si,
+        "gamma": gamma, "seed_index": si,
         "nmi": nmi(detected, truth_map), "ari": ari(detected, truth_map),
         "communities": part.B,
         "q": modularity(graph, part, gamma),
@@ -407,7 +407,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError("--threshold must lie in [0, 1]")
 
     # louvain_maximize is pure Python, so cells run in processes; the inputs
-    # reach each worker once, and map() hands out cells in chunks, in order
+    # reach each worker once, and map() returns the cells in input order
     cells = [(gi, si) for gi in range(grid.size) for si in range(args.seeds)]
     workers = min(_worker_cap(), len(cells))
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
@@ -417,7 +417,7 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for gi in range(grid.size):
-        mine = [r for r in runs if r["gamma_index"] == gi]
+        mine = runs[gi * args.seeds:(gi + 1) * args.seeds]
         rows.append({
             "gamma": float(grid[gi]),
             "nmi": float(np.mean([r["nmi"] for r in mine])),
@@ -433,7 +433,7 @@ def cmd_sweep(args) -> int:
     with open(f"{args.out}.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "seed_index", "nmi", "ari", "communities", "q", "seconds"])
-        for r in sorted(runs, key=lambda r: (r["gamma_index"], r["seed_index"])):
+        for r in runs:
             writer.writerow([r["gamma"], r["seed_index"], r["nmi"], r["ari"],
                              r["communities"], r["q"], r["seconds"]])
     if stable:

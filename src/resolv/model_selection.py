@@ -20,7 +20,7 @@ one community.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,14 +41,7 @@ class OddsReport:
     significant_split: bool
 
     def to_dict(self) -> dict:
-        return {
-            "log_odds": self.log_odds,
-            "a": self.a,
-            "b": self.b,
-            "entropy_n": self.entropy_n,
-            "entropy_B": self.entropy_B,
-            "significant_split": self.significant_split,
-        }
+        return asdict(self)
 
 
 def bayes_log_odds(graph: Graph, partition: Partition) -> OddsReport:

@@ -98,34 +98,13 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     if graph.m < 1:
         raise ValidationError("modularity optimization needs at least one edge")
     rng = np.random.default_rng(seed)
-    m = float(graph.m)
-
     assignment = np.arange(graph.n, dtype=np.int64)
-    while True:
-        assignment = _greedy_cycles(graph, m, gamma, rng, _TOL, check, assignment)
-        if graph.n > _KL_LIMIT:
-            break
-        assignment, polished = _chain_refine(graph, m, gamma, _TOL, check, assignment)
-        if not polished:
-            break
-
-    return partition_stats(graph, assignment)
-
-
-def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
-    """Level-based local moving until a full cycle makes no move.
-
-    Outer cycles restart from the original graph with node communities
-    seeded by the current result: aggregation alone only guarantees
-    stability against super-node moves, while the contract promises no
-    single original-node move improves Q. A cycle whose first phase makes
-    zero moves certifies exactly that: with no move, its queue pops every
-    node once and requeues none.
-
-    The first cycle aggregates even when its first phase is idle. The given
-    assignment may come from outside the cycles (a chain polish), and only
-    super-node moves try merging its communities.
-    """
+    # Each cycle restarts from the original graph, seeded by the current
+    # result: aggregation alone only certifies against super-node moves, while
+    # the contract is about original-node moves. A cycle whose first phase
+    # moves nothing certifies that: its queue pops every node once and requeues
+    # none. The cycle after a chain polish aggregates even when its first phase
+    # is idle, since only super-node moves try merging the polished communities.
     aggregate_idle = True
     while True:
         level = graph
@@ -133,7 +112,7 @@ def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
         init = assignment
         cycle_moved = False
         while True:
-            comm, moved = _local_moving(level, m, gamma, rng, tol, check, init=init)
+            comm, moved = _local_moving(level, gamma, rng, check, init)
             cycle_moved = cycle_moved or moved
             if not (moved or aggregate_idle):
                 break
@@ -147,18 +126,26 @@ def _greedy_cycles(graph: Graph, m, gamma, rng, tol, check, assignment):
                 break
             level = Graph.from_arrays(int(labels.size), dense[level.edge_u],
                                       dense[level.edge_v], level.edge_w)
-            init = None  # fresh super-nodes start as singletons
+            init = np.arange(level.n, dtype=np.int64)  # fresh super-nodes start as singletons
         assignment = comm[membership]
-        if not cycle_moved:
-            return assignment
+        if cycle_moved:
+            continue
+        if graph.n > _KL_LIMIT:
+            break
+        assignment, polished = _chain_refine(graph, gamma, check, assignment)
+        if not polished:
+            break
+        aggregate_idle = True
+
+    return partition_stats(graph, assignment)
 
 
-def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
+def _chain_refine(graph: Graph, gamma, check, assignment):
     """Kernighan-Lin style rounds on the original graph.
 
     Each round greedily chains single-node moves with the moved node locked
     afterwards, tracking Q along the chain; steps may go downhill. If the
-    best prefix of the chain beats the starting partition by more than tol
+    best prefix of the chain beats the starting partition by more than _TOL
     it is kept and another round starts. Deterministic: ties prefer the
     smaller (node, target) pair.
 
@@ -172,6 +159,7 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
     detaching, so it scans ``live``; every other node scans ``with_fresh``.
     """
     n = graph.n
+    m = float(graph.m)
     k = graph.degrees.astype(np.float64).tolist()
     indptr, nbr, wgt = _csr(graph)
     start, nbr, wgt = indptr.tolist(), nbr.tolist(), wgt.tolist()
@@ -180,7 +168,7 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
     coef = gamma / (2.0 * m)
 
     comm = np.asarray(assignment, dtype=np.int64)
-    q = _scratch_q(graph, comm, m, gamma)
+    q = _scratch_q(graph, comm, gamma)
     comm = comm.tolist()
     improved_any = False
     while True:
@@ -238,12 +226,12 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
                 lj[c] = lj.get(c, 0.0) + w
             cur_q += best_delta
             if check:
-                scratch = _scratch_q(graph, np.asarray(cur), m, gamma)
+                scratch = _scratch_q(graph, np.asarray(cur), gamma)
                 assert abs(scratch - cur_q) <= 1e-9, (scratch, cur_q)
             if cur_q > best_prefix_q:
                 best_prefix_q = cur_q
                 best_prefix = cur.copy()
-        if best_prefix is not None and best_prefix_q > start_q + tol:
+        if best_prefix is not None and best_prefix_q > start_q + _TOL:
             comm = best_prefix
             q = best_prefix_q
             improved_any = True
@@ -251,16 +239,15 @@ def _chain_refine(graph: Graph, m, gamma, tol, check, assignment):
             return np.asarray(comm, dtype=np.int64), improved_any
 
 
-def _local_moving(level: Graph, m, gamma, rng, tol, check,
-                  init=None) -> tuple[np.ndarray, bool]:
+def _local_moving(level: Graph, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     """One node-moving phase on the current level graph.
 
-    Starts from singleton communities, or from ``init`` (community ids below
-    the node count, gaps allowed) when given. Every node is queued once in a
-    random order; after an accepted move, the moved node's neighbours outside
-    its new community are queued again (the fast local moving of Traag,
-    Waltman & van Eck 2019). The phase ends when the queue is empty. Returns
-    the per-node community array and whether any move was accepted.
+    Starts from the communities in ``init`` (ids below the node count, gaps
+    allowed). Every node is queued once in a random order; after an accepted
+    move, the moved node's neighbours outside its new community are queued
+    again (the fast local moving of Traag, Waltman & van Eck 2019). The phase
+    ends when the queue is empty. Returns the per-node community array and
+    whether any move was accepted.
 
     The per-node state lives in Python lists, since scalar indexing into
     numpy arrays dominates this loop. The CSR stays in numpy and each visit
@@ -268,18 +255,20 @@ def _local_moving(level: Graph, m, gamma, rng, tol, check,
     ``detect`` from 70 to 91 MiB peak RSS.
     """
     n = level.n
+    # aggregation keeps every edge, so each level has the original graph's m
+    m = float(level.m)
     indptr, nbr, wgt = _csr(level)
     start = indptr.tolist()
     k = level.degrees.astype(np.float64).tolist()
-    comm_arr = np.arange(n, dtype=np.int64) if init is None else np.asarray(init, dtype=np.int64)
+    comm_arr = np.asarray(init, dtype=np.int64)
     comm_size = np.bincount(comm_arr, minlength=n).tolist()
     comm_kappa = np.bincount(comm_arr, weights=level.degrees, minlength=n).tolist()
     comm = comm_arr.tolist()
     free = [c for c, size in enumerate(comm_size) if size == 0]  # sorted, a valid heap
     coef = gamma / (2.0 * m)
-    min_gain = tol * m  # gains below are scaled by m relative to Q
+    min_gain = _TOL * m  # gains below are scaled by m relative to Q
 
-    q = _scratch_q(level, comm_arr, m, gamma) if check else None  # tracked only to be checked
+    q = _scratch_q(level, comm_arr, gamma) if check else None  # tracked only to be checked
     any_move = False
     queue = deque(rng.permutation(n).tolist())
     queued = [True] * n
@@ -328,7 +317,7 @@ def _local_moving(level: Graph, m, gamma, rng, tol, check,
             if check:
                 q_before = q
                 q += (best_gain - stay) / m
-                q_scratch = _scratch_q(level, np.asarray(comm), m, gamma)
+                q_scratch = _scratch_q(level, np.asarray(comm), gamma)
                 assert abs(q_scratch - q) <= 1e-9, (q_scratch, q)
                 assert q > q_before
         else:
@@ -353,7 +342,8 @@ def _csr(graph: Graph):
     return indptr, dst.astype(np.int64), ww
 
 
-def _scratch_q(graph: Graph, comm, m, gamma) -> float:
+def _scratch_q(graph: Graph, comm, gamma) -> float:
+    m = float(graph.m)
     internal = comm[graph.edge_u] == comm[graph.edge_v]
     m_in = float(graph.edge_w[internal].sum())
     b = int(comm.max()) + 1

@@ -63,10 +63,6 @@ class ResolutionInterval:
     def empty(self) -> bool:
         return self.lower > self.upper
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
 
 @dataclass(frozen=True)
 class PpmFit:

@@ -3,6 +3,9 @@ plain-Python oracles in ``oracles.py``."""
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,3 +90,24 @@ def test_split_communities_matches_canonical_oracle(case, data):
     assert mapping == {old: new for new, old in enumerate(keep)}
     assert sub.n == len(keep)
     assert (list(sub.edges()), sub.degrees.tolist()) == _oracle_subgraph(edges, keep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_edge_list_round_trip(case):
+    n, edges = case
+    g = rv.Graph.from_edges(n, edges)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        rv.write_edge_list(g, path)
+        if g.m == 0:
+            with pytest.raises(rv.ParseError):
+                rv.load_edge_list(path)
+            return
+        back, labels = rv.load_edge_list(path)
+    # isolated nodes write no line, so they do not come back
+    ids = [int(lab) for lab in labels]
+    assert sorted((min(ids[u], ids[v]), max(ids[u], ids[v]), w)
+                  for u, v, w in back.edges()) == list(g.edges())
+    assert back.m == g.m
+    assert sorted(back.degrees.tolist()) == sorted(d for d in g.degrees.tolist() if d > 0)

@@ -187,12 +187,70 @@ def test_chain_refine_matches_direct_reference():
         g = rv.Graph.from_edges(n, edges)
         gamma = float(rng.uniform(0.3, 2.5))
         start = rng.integers(0, 3, size=n)
-        got, got_kept = _chain_refine(g, float(g.m), gamma, 1e-12, False, start)
+        got, got_kept = _chain_refine(g, gamma, False, start)
         want, want_kept = chain_refine_direct(n, list(g.edges()), gamma, 1e-12, start.tolist())
         assert got.tolist() == want
         assert got_kept == want_kept
         kept += got_kept
     assert kept > 0
+
+
+def test_pinned_louvain_outputs():
+    # sha256 over the assignment bytes of each group of runs. Update these
+    # only for an announced change to the partitions, and say so in
+    # CHANGES.md.
+    import hashlib
+
+    def digest(parts):
+        h = hashlib.sha256()
+        for p in parts:
+            h.update(p.assignment.tobytes())
+        return h.hexdigest()
+
+    plateau, _ = rv.make_plateau_fixture(0)
+    planted, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
+        np.full(30, 20), np.full(600, 12.0), 0.3, np.full(30, 8.0)), seed=0)
+    assert digest(rv.louvain_maximize(plateau, gamma, seed=s)
+                  for gamma in (0.5, 1.0, 2.0, 5.0) for s in range(5)) == (
+        "830ac828b266e34006b2198bc64096ce6af9e05daa784b006ad4cb93d5e23e19")
+    assert digest(rv.louvain_maximize(planted, 1.0, seed=s) for s in range(3)) == (
+        "3f2b40d389aeae85371a8423cd89db44718da2d6cd86f4f18a0744c9dca6d931")
+    assert digest(rv.louvain_maximize(rv.sample_er(12 + s % 20, 20 + s % 25, s),
+                                      0.5 + (s % 5) * 0.5, seed=s) for s in range(40)) == (
+        "443acc7b8752c0965f532fed8ff6e2ee1bc36abf42276d6343140896eea7d306")
+
+
+def test_modularity_and_louvain_against_networkx():
+    # networkx is an independent implementation of both Q(gamma) and Louvain.
+    # Q must agree on every partition; our best of seeds 0-9 must reach
+    # networkx's best of its seeds 0-9 (best against best: a single seed of
+    # either can fall short of the other's best).
+    nx = pytest.importorskip("networkx")
+    graphs = [rv.karate_club()[0], rv.make_plateau_fixture(0)[0]]
+    for seed in range(3):
+        graphs.append(rv.sample_extended_ppm(rv.ExtendedPpmParams(
+            [8] * 6, np.full(48, 6.0), 0.2, [5.0] * 6), seed=seed)[0])
+    graphs.append(rv.Graph.from_edges(6, [(0, 1, 3), (1, 2, 1), (0, 2, 2), (2, 3, 1),
+                                          (3, 4, 2), (4, 5, 1), (3, 5, 1), (0, 0, 2),
+                                          (4, 4, 1)]))
+    for g in graphs:
+        multi = nx.MultiGraph()
+        multi.add_nodes_from(range(g.n))
+        for u, v, w in g.edges():
+            multi.add_edges_from([(u, v)] * w)
+        for gamma in (0.5, 1.0, 2.0):
+            ours = []
+            for seed in range(10):
+                p = rv.louvain_maximize(g, gamma, seed=seed)
+                q = rv.modularity(g, p, gamma)
+                comms = [np.flatnonzero(p.assignment == r).tolist() for r in range(p.B)]
+                assert q == pytest.approx(
+                    nx.community.modularity(multi, comms, resolution=gamma), abs=1e-12)
+                ours.append(q)
+            theirs = max(nx.community.modularity(
+                multi, nx.community.louvain_communities(multi, resolution=gamma, seed=seed),
+                resolution=gamma) for seed in range(10))
+            assert max(ours) >= theirs - 1e-12, (g.n, gamma, max(ours), theirs)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 3.0, 20.0])
