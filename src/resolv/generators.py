@@ -19,7 +19,9 @@ Two sampling routes produce the same distribution:
   endpoints drawn within each block proportional to target degree. Thinning
   a Poisson process over pairs by endpoint probabilities k_i/kappa_r gives
   independent pair counts with exactly the means above, so the routes agree
-  in distribution (not draw-for-draw).
+  in distribution (not draw-for-draw). It costs one Poisson draw per block
+  pair plus endpoint draws per edge. Its draw order is a seed contract that
+  tests pin: pairs r <= s row-major; per pair the count, r ends, then s ends.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .graph import Graph, Partition, partition_stats
 from .seeding import derive_seed
 
 _EXACT_LIMIT = 2000
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # numpy's lam limit
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,10 @@ def sample_dcsbm(params: DcsbmParams, seed: int, method: str = "auto") -> Graph:
     """Draw one graph from the block model.
 
     method: "exact", "fast", or "auto" (exact up to 2000 nodes). Same seed,
-    same method, same graph, bit for bit.
+    same method, same graph, bit for bit. "fast" costs one Poisson draw per
+    block pair, then endpoint draws per edge, in the order the module
+    docstring gives as its seed contract. A Poisson mean that is not finite
+    or beyond numpy's range raises ValidationError before any draw.
     """
     params.validate()
     if method == "auto":
@@ -155,51 +161,51 @@ def sample_dcsbm(params: DcsbmParams, seed: int, method: str = "auto") -> Graph:
         raise ValidationError(
             f"exact sampling is quadratic and capped at {_EXACT_LIMIT} nodes")
     rng = np.random.default_rng(seed)
-    if method == "exact":
-        return _sample_exact(params, rng)
-    return _sample_fast(params, rng)
+    # an overflowing mean comes out inf or nan, and _checked rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_sample_exact if method == "exact" else _sample_fast)(params, rng)
+
+
+def _checked(means: np.ndarray) -> np.ndarray:
+    if not means.max() <= _POISSON_MAX:  # nan fails the comparison too
+        raise ValidationError(f"an expected edge count is not finite or above {_POISSON_MAX:.3g}")
+    return means
 
 
 def _sample_exact(params: DcsbmParams, rng: np.random.Generator) -> Graph:
-    g = params.block_assignment
-    k = params.target_degrees
-    n = params.n
-    two_m = float(k.sum())
-    means = params.omega[g[:, None], g[None, :]] * np.outer(k, k) / two_m
-    iu, iv = np.triu_indices(n)
-    mean_flat = means[iu, iv]
-    mean_flat[iu == iv] *= 0.5
-    counts = rng.poisson(mean_flat)
+    g, k = params.block_assignment, params.target_degrees
+    iu, iv = np.triu_indices(params.n)
+    means = params.omega[g[iu], g[iv]] * (k[iu] * k[iv]) / float(k.sum())
+    means[iu == iv] *= 0.5
+    counts = rng.poisson(_checked(means))
     nz = counts > 0
-    return Graph.from_arrays(n, iu[nz], iv[nz], counts[nz])
+    return Graph.from_arrays(params.n, iu[nz], iv[nz], counts[nz])
 
 
 def _sample_fast(params: DcsbmParams, rng: np.random.Generator) -> Graph:
-    g = params.block_assignment
-    k = params.target_degrees
+    g, k = params.block_assignment, params.target_degrees
     two_m = float(k.sum())
-    B = params.B
-    members = [np.flatnonzero(g == r) for r in range(B)]
+    members = [np.flatnonzero(g == r) for r in range(params.B)]
     kappa = np.array([float(k[idx].sum()) for idx in members])
-    probs = [k[idx] / kappa[r] if kappa[r] > 0 else None for r, idx in enumerate(members)]
-    us = [np.empty(0, dtype=np.int64)]
-    vs = [np.empty(0, dtype=np.int64)]
-    for r in range(B):
-        for s in range(r, B):
-            if kappa[r] == 0 or kappa[s] == 0:
-                continue
-            mean = params.omega[r, s] * kappa[r] * kappa[s] / two_m
-            if r == s:
-                mean *= 0.5
-            if mean == 0.0:
-                continue
-            total = int(rng.poisson(mean))
-            if total == 0:
-                continue
-            u = rng.choice(members[r], size=total, p=probs[r])
-            v = rng.choice(members[s], size=total, p=probs[s])
-            us.append(u)
-            vs.append(v)
+    # means[r][s - r] is the mean of pair (r, s >= r); an empty block gives 0
+    means = [params.omega[r, r:] * kappa[r] * kappa[r:] / two_m for r in range(params.B)]
+    for row in means:  # every mean is checked before the first draw
+        row[0] *= 0.5
+        _checked(row)
+    # Generator.choice(members[r], size, p=k[idx] / kappa[r]) draws exactly
+    # members[r][cdf.searchsorted(rng.random(size), side="right")]
+    cdfs = {r: (k[idx] / kappa[r]).cumsum() for r, idx in enumerate(members) if idx.size}
+    for cdf in cdfs.values():
+        cdf /= cdf[-1]
+    poisson, uniform = rng.poisson, rng.random
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for r, row in enumerate(means):
+        ss = np.flatnonzero(row > 0)
+        for s, mean in zip((ss + r).tolist(), row[ss].tolist()):
+            total = poisson(mean)
+            if total:
+                us.append(members[r][cdfs[r].searchsorted(uniform(total), side="right")])
+                vs.append(members[s][cdfs[s].searchsorted(uniform(total), side="right")])
     return Graph.from_arrays(params.n, np.concatenate(us), np.concatenate(vs))
 
 

@@ -50,11 +50,7 @@ class Graph:
         """
         us, vs, ws = [], [], []
         for e in edges:
-            if len(e) == 2:
-                u, v = e
-                w = 1
-            else:
-                u, v, w = e
+            u, v, w = e if len(e) == 3 else (*e, 1)
             us.append(u)
             vs.append(v)
             ws.append(w)
@@ -95,7 +91,7 @@ class Graph:
 
     @cached_property
     def _pair_index(self) -> dict:
-        return {(int(a), int(b)): int(c) for a, b, c in zip(self.edge_u, self.edge_v, self.edge_w)}
+        return {(a, b): c for a, b, c in self.edges()}
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of parallel edges between u and v (0 if none)."""
@@ -104,8 +100,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield canonical (u, v, multiplicity) triples, u <= v, sorted."""
-        for a, b, c in zip(self.edge_u, self.edge_v, self.edge_w):
-            yield int(a), int(b), int(c)
+        yield from zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist())
 
 
 def _int64(values, what: str) -> np.ndarray:
@@ -171,8 +166,7 @@ def write_edge_list(graph: Graph, path, labels: Sequence[str] | None = None) -> 
         raise ValidationError("label list length does not match node count")
     with open(path, "w", encoding="utf-8") as fh:
         for u, v, w in graph.edges():
-            line = f"{labels[u]}\t{labels[v]}\n"
-            fh.write(line * w)
+            fh.write(f"{labels[u]}\t{labels[v]}\n" * w)
 
 
 def load_communities(path) -> dict[str, str]:
@@ -214,7 +208,7 @@ def write_communities(assignment: Mapping[str, str] | np.ndarray, path,
             arr = np.asarray(assignment)
             if labels is None:
                 labels = [str(i) for i in range(arr.size)]
-            for i, c in enumerate(arr):
+            for i, c in enumerate(arr.tolist()):
                 fh.write(f"{labels[i]}\t{int(c)}\n")
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
 
 def set_partitions(n: int):
     """All partitions of range(n), yielded as assignment tuples in
@@ -113,6 +115,39 @@ def canonical_multigraph(n: int, edges):
         degrees[u] += w
         degrees[v] += w
     return dict(pairs), degrees
+
+
+def sample_fast_reference(params, seed: int):
+    """The fast block-model route as a plain per-pair loop, for stream checks.
+
+    ``params`` is a DcsbmParams. Visits block pairs r <= s row-major and
+    skips any pair with an empty block or a zero mean. A pair draws its edge
+    count, then its r endpoints with ``Generator.choice`` weighted by target
+    degree, then its s endpoints. Returns the (u, v) pairs in draw order.
+    """
+    rng = np.random.default_rng(seed)
+    g, k, omega = params.block_assignment, params.target_degrees, params.omega
+    two_m = float(k.sum())
+    B = omega.shape[0]
+    members = [np.flatnonzero(g == r) for r in range(B)]
+    kappa = [float(k[idx].sum()) for idx in members]
+    edges = []
+    for r in range(B):
+        for s in range(r, B):
+            if kappa[r] == 0 or kappa[s] == 0:
+                continue
+            mean = omega[r, s] * kappa[r] * kappa[s] / two_m
+            if r == s:
+                mean *= 0.5
+            if mean == 0.0:
+                continue
+            total = int(rng.poisson(mean))
+            if total == 0:
+                continue
+            u = rng.choice(members[r], size=total, p=k[members[r]] / kappa[r])
+            v = rng.choice(members[s], size=total, p=k[members[s]] / kappa[s])
+            edges += zip(u.tolist(), v.tolist())
+    return edges
 
 
 def community_counts(edges, assignment):

@@ -408,10 +408,17 @@ def config(model, **fields):
     (config(EPPM, omega_out=[0.2]), 3),
     (config(EPPM, omega_diag={"a": 1}), 3),
     (config({"model": "er", "m": 5}, n=True), 3),
+    # Poisson means that overflow to inf or nan, or exceed numpy's range;
+    # 2002 nodes take the fast route
+    (config(DCSBM, target_degrees=1e308), 3),
+    (config(DCSBM, omega=[[1e300, 0.2], [0.2, 1e300]]), 3),
+    (config(EPPM, community_sizes=[1001, 1001], target_degrees=1e200), 3),
+    (config(EPPM, community_sizes=[1001, 1001], target_degrees=1e19), 3),
 ], ids=["edges-not-utf8", "truth-not-utf8", "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
         "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
-        "omega-diag-object", "n-boolean"])
+        "omega-diag-object", "n-boolean", "degrees-overflow", "omega-huge",
+        "fast-means-overflow", "fast-means-too-large"])
 def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
     assert "internal error" not in capsys.readouterr().err

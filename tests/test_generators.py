@@ -81,6 +81,53 @@ def test_fast_and_exact_paths_agree_in_distribution():
     assert abs(means["exact"][0] - means["fast"][0]) <= 4 * np.sqrt(2 * means["exact"][0] / samples)
 
 
+# sha256 pins of the fast route's output. They fix numpy's Generator stream as
+# well as the sampler, so a failure right after a numpy upgrade need not be a
+# code change. Update them only for an announced change to the sampled graphs,
+# and say so in CHANGES.md.
+@pytest.mark.parametrize("params, digest", [
+    # block 1 has no members: kappa_1 = 0, so no pair of it takes a draw
+    (rv.DcsbmParams(block_assignment=[0] * 6 + [2] * 6, target_degrees=np.arange(1.0, 13.0),
+                    omega=[[3.0, 0.5, 0.5], [0.5, 3.0, 0.5], [0.5, 0.5, 3.0]]),
+     "78d17978190145e8eccf15ad6130ab68b1ee42340ca163e06fc268a4d580e67a"),
+    # omega_01 = 0: a zero mean takes no draw
+    (rv.DcsbmParams(block_assignment=np.repeat([0, 1, 2], 5),
+                    target_degrees=np.linspace(2.0, 6.0, 15),
+                    omega=[[4.0, 0.0, 1.0], [0.0, 4.0, 0.5], [1.0, 0.5, 4.0]]),
+     "fbe95e1c56587ba17a6d57b3ff8662dc6fa50d52d08f5d8a34e963eee6698af6"),
+    # diagonal means 6 * 80 * 80 / 160 / 2 = 120 take numpy's other Poisson
+    # algorithm (mean >= 10); the off-diagonal mean is 4
+    (rv.DcsbmParams(block_assignment=np.repeat([0, 1], 8), target_degrees=np.full(16, 10.0),
+                    omega=[[6.0, 0.1], [0.1, 6.0]]),
+     "f0afe18dee621c7518c4c7a7ee06b8be88d50174d3617ac54808ae2cefb59d6a"),
+], ids=["empty-block", "zero-omega", "large-mean"])
+def test_pinned_fast_samples(params, digest):
+    import hashlib
+    g = rv.sample_dcsbm(params, seed=3, method="fast")
+    blob = g.edge_u.tobytes() + g.edge_v.tobytes() + g.edge_w.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_pinned_generate_files(tmp_path):
+    # the detect-multiscale-1k bench input: 1000 planted 10-node blocks at
+    # graph seed 0, through the CLI so the writers are pinned too
+    import hashlib
+    import json
+
+    from resolv.cli import main
+    config = {"model": "extended_ppm", "community_sizes": [10] * 1000, "target_degrees": 10.0,
+              "omega_out": 0.2, "omega_diag": [1000 - 999 * 0.2] * 1000}
+    (tmp_path / "model.json").write_text(json.dumps(config))
+    out = tmp_path / "g"
+    assert main(["generate", "--config", str(tmp_path / "model.json"), "--seed", "0",
+                 "--out", str(out)]) == 0
+    digests = {ext: hashlib.sha256((tmp_path / f"g.{ext}").read_bytes()).hexdigest()
+               for ext in ("edges", "communities")}
+    assert digests == {
+        "edges": "f1dc06efc405bf616c6c4a1dfb985cdde883e72b7790efc5434041fe5238a41b",
+        "communities": "79f059764c6e9407c79468b5937543b9b4601dcfc50ecd21e2275f92b1f14ceb"}
+
+
 def test_uniform_density_reproduces_configuration_expectation():
     # omega identically 1: multiplicity mean between two nodes is k_i k_j / 2m
     k = np.array([1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 20.0, 30.0])

@@ -11,10 +11,10 @@ import pytest
 
 import resolv as rv
 from resolv.graph import split_communities
-from oracles import canonical_multigraph, community_counts
+from oracles import canonical_multigraph, community_counts, sample_fast_reference
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -111,3 +111,42 @@ def test_edge_list_round_trip(case):
                   for u, v, w in back.edges()) == list(g.edges())
     assert back.m == g.m
     assert sorted(back.degrees.tolist()) == sorted(d for d in g.degrees.tolist() if d > 0)
+
+
+@st.composite
+def block_models(draw):
+    """Small DcsbmParams: some blocks may be empty, some omega entries 0."""
+    B = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 20))
+    blocks = draw(st.lists(st.integers(0, B - 1), min_size=n, max_size=n))
+    degrees = draw(st.lists(st.floats(0.1, 20.0), min_size=n, max_size=n))
+    cells = B * (B + 1) // 2
+    upper = draw(st.lists(st.just(0.0) | st.floats(0.0, 30.0), min_size=cells, max_size=cells))
+    omega = np.zeros((B, B))
+    omega[np.triu_indices(B)] = upper
+    return rv.DcsbmParams(blocks, degrees, omega + np.triu(omega, 1).T)
+
+
+def _boundary_case():
+    """One block of two nodes where the first endpoint draw u lands exactly
+    on the cdf boundary between them; Generator.choice takes the upper node.
+
+    Weights u and 1 - u (exact for u >= 0.5) sum to exactly 1.0, so the cdf
+    is [u, 1.0]; omega 2 makes the Poisson mean 1.
+    """
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        if rng.poisson(1.0) and (u := rng.random()) >= 0.5:
+            return rv.DcsbmParams([0, 0], [u, 1.0 - u], [[2.0]]), seed
+    raise AssertionError("no seed in 0..99 draws an edge with u >= 0.5")
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_models(), st.integers(0, 2**32 - 1))
+@example(*_boundary_case())
+def test_fast_sampler_matches_per_pair_reference(params, seed):
+    # same seed, same random stream: edge for edge, not just in distribution
+    g = rv.sample_dcsbm(params, seed, method="fast")
+    pairs, _ = canonical_multigraph(params.n, sample_fast_reference(params, seed))
+    assert g.n == params.n
+    assert list(g.edges()) == sorted((a, b, c) for (a, b), c in pairs.items())
