@@ -45,6 +45,7 @@ class DcsbmParams:
     block_assignment : block id per node (dense 0..B-1)
     target_degrees   : expected degree per node, > 0
     omega            : B x B symmetric relative-density matrix, >= 0
+    A nested list in a per-node field raises ValidationError on construction.
     """
 
     block_assignment: np.ndarray
@@ -52,10 +53,7 @@ class DcsbmParams:
     omega: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "block_assignment",
-                           np.asarray(self.block_assignment, dtype=np.int64).reshape(-1))
-        object.__setattr__(self, "target_degrees",
-                           np.asarray(self.target_degrees, dtype=np.float64).reshape(-1))
+        _set_arrays(self, block_assignment=np.int64, target_degrees=np.float64)
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=np.float64))
 
     @property
@@ -96,6 +94,7 @@ class ExtendedPpmParams:
     omega_diag      : within-community relative density per community; each
                       must exceed omega_out for the pattern to be assortative
                       (checked when there are >= 2 communities)
+    A nested list in an array field raises ValidationError on construction.
     """
 
     community_sizes: np.ndarray
@@ -104,12 +103,8 @@ class ExtendedPpmParams:
     omega_diag: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "community_sizes",
-                           np.asarray(self.community_sizes, dtype=np.int64).reshape(-1))
-        object.__setattr__(self, "target_degrees",
-                           np.asarray(self.target_degrees, dtype=np.float64).reshape(-1))
-        object.__setattr__(self, "omega_diag",
-                           np.asarray(self.omega_diag, dtype=np.float64).reshape(-1))
+        _set_arrays(self, community_sizes=np.int64, target_degrees=np.float64,
+                    omega_diag=np.float64)
 
     @property
     def B(self) -> int:
@@ -120,6 +115,11 @@ class ExtendedPpmParams:
         return int(self.community_sizes.sum())
 
     def validate(self) -> None:
+        self.to_dcsbm().validate()
+
+    def to_dcsbm(self) -> DcsbmParams:
+        """The block model of this planted partition, built once its own
+        checks pass; the model's validate() runs the remaining ones."""
         sizes = self.community_sizes
         if sizes.size == 0 or (sizes < 1).any():
             raise ValidationError("community_sizes must all be >= 1")
@@ -131,16 +131,19 @@ class ExtendedPpmParams:
             raise ValidationError("omega_out must be nonnegative and finite")
         if self.B >= 2 and not (self.omega_diag > self.omega_out).all():
             raise ValidationError("every omega_diag entry must exceed omega_out")
-        # remaining checks ride on the block-model validator
-        self.to_dcsbm().validate()
-
-    def to_dcsbm(self) -> DcsbmParams:
         omega = np.full((self.B, self.B), float(self.omega_out))
         np.fill_diagonal(omega, self.omega_diag)
-        assignment = np.repeat(np.arange(self.B), self.community_sizes)
-        return DcsbmParams(block_assignment=assignment,
-                           target_degrees=self.target_degrees,
-                           omega=omega)
+        return DcsbmParams(block_assignment=np.repeat(np.arange(self.B), sizes),
+                           target_degrees=self.target_degrees, omega=omega)
+
+
+def _set_arrays(params, **dtypes) -> None:
+    # each named field becomes a flat array (a scalar, length 1); nesting is an error
+    for name, dtype in dtypes.items():
+        values = np.array(getattr(params, name), dtype=dtype, ndmin=1)
+        if values.ndim != 1:
+            raise ValidationError(f"{name} must be a flat list, not nested")
+        object.__setattr__(params, name, values)
 
 
 def sample_dcsbm(params: DcsbmParams, seed: int, method: str = "auto") -> Graph:
@@ -209,13 +212,11 @@ def _sample_fast(params: DcsbmParams, rng: np.random.Generator) -> Graph:
     return Graph.from_arrays(params.n, np.concatenate(us), np.concatenate(vs))
 
 
-def sample_extended_ppm(params: ExtendedPpmParams, seed: int,
-                        method: str = "auto") -> tuple[Graph, Partition]:
-    """Draw a planted-partition graph; returns it with its ground truth."""
-    params.validate()
-    graph = sample_dcsbm(params.to_dcsbm(), seed, method=method)
-    truth = partition_stats(graph, np.repeat(np.arange(params.B), params.community_sizes))
-    return graph, truth
+def sample_extended_ppm(params: ExtendedPpmParams, seed: int) -> tuple[Graph, Partition]:
+    """Draw a planted-partition graph and its ground truth (fast route above 2000 nodes)."""
+    model = params.to_dcsbm()
+    graph = sample_dcsbm(model, seed)
+    return graph, partition_stats(graph, model.block_assignment)
 
 
 def sample_er(n: int, m: int, seed: int) -> Graph:

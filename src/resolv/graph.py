@@ -155,18 +155,16 @@ def load_edge_list(path) -> tuple[Graph, list[str]]:
     return Graph.from_arrays(len(index), us, vs), list(index)
 
 
-def write_edge_list(graph: Graph, path, labels: Sequence[str] | None = None) -> None:
-    """Write the canonical edge list, one line per unit of multiplicity.
+def write_edge_list(graph: Graph, path) -> None:
+    """Write the canonical edge list on dense ids 0..n-1, one line per unit of
+    multiplicity.
 
     The format round-trips through load_edge_list (duplicates re-accumulate).
     """
-    if labels is None:
-        labels = [str(i) for i in range(graph.n)]
-    elif len(labels) != graph.n:
-        raise ValidationError("label list length does not match node count")
+    ids = [str(i) for i in range(graph.n)]  # cheaper than formatting each endpoint int
     with open(path, "w", encoding="utf-8") as fh:
         for u, v, w in graph.edges():
-            fh.write(f"{labels[u]}\t{labels[v]}\n" * w)
+            fh.write(f"{ids[u]}\t{ids[v]}\n" * w)
 
 
 def load_communities(path) -> dict[str, str]:
@@ -198,18 +196,18 @@ def write_communities(assignment: Mapping[str, str] | np.ndarray, path,
     """Write a node-to-community file.
 
     Accepts either a mapping of labels, or a per-node integer array plus an
-    optional label list.
+    optional label list of the same length (checked before the file opens).
     """
+    if isinstance(assignment, Mapping):
+        rows = assignment.items()
+    else:
+        comms = np.asarray(assignment, dtype=np.int64).tolist()
+        if labels is not None and len(labels) != len(comms):
+            raise ValidationError(f"{len(labels)} labels for {len(comms)} assigned nodes")
+        rows = zip(map(str, range(len(comms))) if labels is None else labels, comms)
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(assignment, Mapping):
-            for node, comm in assignment.items():
-                fh.write(f"{node}\t{comm}\n")
-        else:
-            arr = np.asarray(assignment)
-            if labels is None:
-                labels = [str(i) for i in range(arr.size)]
-            for i, c in enumerate(arr.tolist()):
-                fh.write(f"{labels[i]}\t{int(c)}\n")
+        for node, comm in rows:
+            fh.write(f"{node}\t{comm}\n")
 
 
 def induced_subgraph(graph: Graph, nodes) -> tuple[Graph, dict[int, int]]:

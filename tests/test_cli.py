@@ -414,11 +414,17 @@ def config(model, **fields):
     (config(DCSBM, omega=[[1e300, 0.2], [0.2, 1e300]]), 3),
     (config(EPPM, community_sizes=[1001, 1001], target_degrees=1e200), 3),
     (config(EPPM, community_sizes=[1001, 1001], target_degrees=1e19), 3),
+    # flat fields given as nested lists
+    (config(DCSBM, block_assignment=[[0] * 5, [1] * 5]), 3),
+    (config(DCSBM, target_degrees=[[4] * 5, [4] * 5]), 3),
+    (config(EPPM, community_sizes=[[8], [8]]), 3),
+    (config(EPPM, omega_diag=[[4.0], [5.0]]), 3),
 ], ids=["edges-not-utf8", "truth-not-utf8", "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
         "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
         "omega-diag-object", "n-boolean", "degrees-overflow", "omega-huge",
-        "fast-means-overflow", "fast-means-too-large"])
+        "fast-means-overflow", "fast-means-too-large", "nested-blocks", "nested-degrees",
+        "nested-sizes", "nested-omega-diag"])
 def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
     assert "internal error" not in capsys.readouterr().err

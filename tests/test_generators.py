@@ -176,6 +176,37 @@ def test_extended_ppm_requires_assortative_diagonals():
         rv.ExtendedPpmParams([5, 5], np.full(10, 4.0), 0.5, [0.5, 2.0]).validate()
 
 
+def test_extended_ppm_builds_and_checks_its_model_once(monkeypatch):
+    calls = {"to_dcsbm": 0, "validate": 0}
+    to_dcsbm, validate = rv.ExtendedPpmParams.to_dcsbm, rv.DcsbmParams.validate
+
+    def counting(name, fn):
+        def wrapper(self):
+            calls[name] += 1
+            return fn(self)
+        return wrapper
+
+    monkeypatch.setattr(rv.ExtendedPpmParams, "to_dcsbm", counting("to_dcsbm", to_dcsbm))
+    monkeypatch.setattr(rv.DcsbmParams, "validate", counting("validate", validate))
+    params = rv.ExtendedPpmParams([3, 4, 5], np.full(12, 6.0), 0.2, [2.0, 3.0, 4.0])
+    rv.sample_extended_ppm(params, seed=1)
+    assert calls == {"to_dcsbm": 1, "validate": 1}
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: rv.DcsbmParams([[0, 0], [1, 1]], 4.0, np.eye(2)), "block_assignment"),
+    (lambda: rv.DcsbmParams([0, 0, 1, 1], [[4.0, 4.0], [4.0, 4.0]], np.eye(2)),
+     "target_degrees"),
+    (lambda: rv.ExtendedPpmParams([[8], [8]], 6.0, 0.2, [4.0, 5.0]), "community_sizes"),
+    (lambda: rv.ExtendedPpmParams([8, 8], np.full(16, 6.0), 0.2, [[4.0], [5.0]]),
+     "omega_diag"),
+])
+def test_params_reject_nested_lists_by_field_name(make, field):
+    # the CLI prints this message, so a nested config field is named there too
+    with pytest.raises(rv.ValidationError, match=f"^{field} must be a flat list"):
+        make()
+
+
 def test_extended_ppm_single_community_allowed():
     params = rv.ExtendedPpmParams([12], np.full(12, 5.0), 0.0, [1.0])
     g, truth = rv.sample_extended_ppm(params, seed=3)

@@ -173,6 +173,15 @@ def test_communities_file_roundtrip(tmp_path):
     assert rv.load_communities(path) == {"a": "x", "b": "y"}
 
 
+def test_communities_labels_must_match_assignment(tmp_path):
+    path = tmp_path / "c.communities"
+    with pytest.raises(rv.ValidationError):
+        rv.write_communities(np.array([0, 0, 1]), path, labels=["a", "b"])
+    assert not path.exists()  # rejected before the file is opened
+    rv.write_communities(np.array([0, 0, 1]), path, labels=["a", "b", "c"])
+    assert rv.load_communities(path) == {"a": "0", "b": "0", "c": "1"}
+
+
 def test_communities_file_conflict_rejected(tmp_path):
     path = tmp_path / "c.communities"
     path.write_text("a 0\na 1\n")

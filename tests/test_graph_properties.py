@@ -1,5 +1,6 @@
 """Property tests: graph construction and partition tallies against the
-plain-Python oracles in ``oracles.py``."""
+plain-Python oracles in ``oracles.py``, plus exact identities of the merge
+gain and the agreement scores."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from resolv.graph import split_communities
 from oracles import canonical_multigraph, community_counts, sample_fast_reference
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -59,6 +60,41 @@ def test_partition_stats_matches_per_edge_count(case, data):
         for s in range(r + 1, p.B):
             assert p.m_rs(r, s) == p.m_rs(s, r) == m_rs.get((r, s), 0)
     assert {(r, s): c for r, s, c in p.inter_pairs()} == m_rs
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.data())
+def test_delta_merge_matches_recomputed_modularity(case, data):
+    n, edges = case
+    g = rv.Graph.from_edges(n, edges)
+    labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    gamma = data.draw(st.floats(0.05, 20.0))
+    p = rv.partition_stats(g, labels)
+    assume(g.m > 0 and p.B >= 2)
+    q = rv.modularity(g, p, gamma)
+    for r in range(p.B):
+        for s in range(r + 1, p.B):
+            merged = rv.partition_stats(g, np.where(p.assignment == s, r, p.assignment))
+            gap = rv.modularity(g, merged, gamma) - (q + rv.delta_merge(p, r, s, gamma))
+            assert abs(gap) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scores_exactly_invariant_under_community_renaming(data):
+    n = data.draw(st.integers(1, 30))
+    left = dict(enumerate(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))))
+    right = dict(enumerate(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))))
+    # an injective map onto arbitrary hashable names, mixed types included
+    names = data.draw(st.lists(st.integers(-99, 99) | st.text(max_size=3),
+                               min_size=6, max_size=6, unique=True))
+    renamed_left = {node: names[c] for node, c in left.items()}
+    renamed_right = {node: names[c] for node, c in right.items()}
+    for score in (rv.nmi, rv.ari, rv.f_measure):
+        base = score(left, right)
+        assert score(renamed_left, right) == base
+        assert score(left, renamed_right) == base
+        assert score(renamed_left, renamed_right) == base
 
 
 def _oracle_subgraph(edges, keep):
