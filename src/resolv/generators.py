@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import Graph, Partition, partition_stats
-from .seeding import derive_seed
+from .seeding import derive_seed, make_rng
 
 _EXACT_LIMIT = 2000
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # numpy's lam limit
@@ -163,7 +163,7 @@ def sample_dcsbm(params: DcsbmParams, seed: int, method: str = "auto") -> Graph:
     if method == "exact" and params.n > _EXACT_LIMIT:
         raise ValidationError(
             f"exact sampling is quadratic and capped at {_EXACT_LIMIT} nodes")
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     # an overflowing mean comes out inf or nan, and _checked rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         return (_sample_exact if method == "exact" else _sample_fast)(params, rng)
@@ -226,7 +226,7 @@ def sample_er(n: int, m: int, seed: int) -> Graph:
     max_m = n * (n - 1) // 2
     if m < 0 or m > max_m:
         raise ValidationError(f"edge count must be within 0..{max_m} for n={n}")
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     codes = rng.choice(max_m, size=m, replace=False)
     # decode lexicographic pair index: row i owns n-1-i consecutive codes
     row_starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
@@ -254,7 +254,7 @@ def make_plateau_fixture(seed: int = 0) -> tuple[Graph, Partition]:
     cliques apart.
     """
     er = sample_er(100, 956, derive_seed(seed, 0))  # simple: unit multiplicities
-    rng = np.random.default_rng(derive_seed(seed, 1))
+    rng = make_rng(derive_seed(seed, 1))
     ci, cj = np.triu_indices(6, k=1)
     # the seeded output fixes the draw order: each bridge's two ends in turn
     bridges = np.array([(rng.integers(100), 100 + rng.integers(6)),

@@ -1,8 +1,10 @@
 """Undirected multigraph container, edge-list I/O, and partition statistics.
 
 Every graph comes from one builder, ``Graph.from_arrays``: loaded edge
-lists, sampled graphs, induced subgraphs, each Louvain level and the
-inter-community counts a ``Partition`` tallies on first read.
+lists, sampled graphs, induced subgraphs and the inter-community counts a
+``Partition`` tallies on first read. The Louvain maximizer works on CSR
+arrays instead: it builds one from its input graph and aggregates each
+level from the previous level's arrays (see ``modularity._csr``).
 
 Conventions used everywhere downstream:
 
@@ -72,15 +74,17 @@ class Graph:
         w = np.ones(u.size, dtype=np.int64) if w is None else _int64(w, "edge multiplicities")
         if not u.size == v.size == w.size:
             raise ValidationError("edge arrays differ in length")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        if lo.min(initial=0) < 0 or hi.max(initial=-1) >= n:
+        if min(u.min(initial=0), v.min(initial=0)) < 0 or \
+                max(u.max(initial=-1), v.max(initial=-1)) >= n:
             raise ValidationError("edge endpoint outside 0..n-1")
         if w.min(initial=1) < 1:
             raise ValidationError("edge multiplicity must be a positive integer")
-        # one sortable key per canonical pair; np.unique merges parallel edges
-        keys, inverse = np.unique(lo * n + hi, return_inverse=True)
-        w = np.bincount(inverse, weights=w, minlength=keys.size).astype(np.int64)
+        # one sortable key per canonical pair; sorting groups parallel edges
+        keys = np.minimum(u, v)
+        keys *= n
+        keys += np.maximum(u, v)
+        del u, v  # the merge below sets the build's peak
+        keys, w = _merge_keys(keys, w)
         lo, hi = np.divmod(keys, max(n, 1))
         # a self-loop lands on its node from both ends: degree 2w
         degrees = (np.bincount(lo, weights=w, minlength=n)
@@ -101,6 +105,16 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield canonical (u, v, multiplicity) triples, u <= v, sorted."""
         yield from zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist())
+
+
+def _merge_keys(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order and the sum of ``w`` over each."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return keys[first], np.add.reduceat(w[order], first)
 
 
 def _int64(values, what: str) -> np.ndarray:

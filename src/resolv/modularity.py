@@ -29,7 +29,8 @@ from collections import deque
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, Partition, partition_stats
+from .graph import Graph, Partition, _merge_keys, partition_stats
+from .seeding import make_rng
 
 # largest graph that gets the chain-move refinement after greedy convergence
 _KL_LIMIT = 32
@@ -77,9 +78,9 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     ----------
     graph : Graph with at least one edge.
     gamma : resolution parameter, > 0.
-    seed : drives the node visit order (one random permutation per
-        node-moving phase seeds its work queue). Identical (graph, gamma,
-        seed) gives an identical partition.
+    seed : a non-negative integer; drives the node visit order (one random
+        permutation per node-moving phase seeds its work queue). Identical
+        (graph, gamma, seed) gives an identical partition.
     check : when True, re-derive Q from scratch after every accepted move
         and assert it matches the incrementally tracked value within 1e-9,
         and that the tracked value never decreases. Meant for tests; it is
@@ -97,7 +98,8 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     _check_gamma(gamma)
     if graph.m < 1:
         raise ValidationError("modularity optimization needs at least one edge")
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
+    base = _csr(graph)  # every level-0 phase and the chain polish read this one
     assignment = np.arange(graph.n, dtype=np.int64)
     # Each cycle restarts from the original graph, seeded by the current
     # result: aggregation alone only certifies against super-node moves, while
@@ -107,7 +109,7 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     # is idle, since only super-node moves try merging the polished communities.
     aggregate_idle = True
     while True:
-        level = graph
+        level = base
         membership = np.arange(graph.n, dtype=np.int64)  # original node -> level node
         init = assignment
         cycle_moved = False
@@ -117,31 +119,32 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
             if not (moved or aggregate_idle):
                 break
             aggregate_idle = False
-            # aggregate: one super-node per surviving community
-            labels, dense = np.unique(comm, return_inverse=True)
+            # aggregate: one super-node per surviving community, in id order
+            dense = np.cumsum(np.bincount(comm) > 0) - 1
+            b = int(dense[-1]) + 1
+            dense = dense[comm]
             membership = dense[membership]
-            if labels.size == 1:
+            if b == 1:
                 # a lone super-node cannot move, and rng.permutation(1) draws nothing
                 comm = np.zeros(1, dtype=np.int64)
                 break
-            level = Graph.from_arrays(int(labels.size), dense[level.edge_u],
-                                      dense[level.edge_v], level.edge_w)
-            init = np.arange(level.n, dtype=np.int64)  # fresh super-nodes start as singletons
+            level = _aggregate(level, dense, b)
+            init = np.arange(b, dtype=np.int64)  # fresh super-nodes start as singletons
         assignment = comm[membership]
         if cycle_moved:
             continue
         if graph.n > _KL_LIMIT:
             break
-        assignment, polished = _chain_refine(graph, gamma, check, assignment)
+        assignment, polished = _chain_refine(base, gamma, check, assignment)
         if not polished:
             break
         aggregate_idle = True
-
+    del base, level  # the CSRs would otherwise add to partition_stats' peak
     return partition_stats(graph, assignment)
 
 
-def _chain_refine(graph: Graph, gamma, check, assignment):
-    """Kernighan-Lin style rounds on the original graph.
+def _chain_refine(level, gamma, check, assignment):
+    """Kernighan-Lin style rounds on the original graph's CSR ``level``.
 
     Each round greedily chains single-node moves with the moved node locked
     afterwards, tracking Q along the chain; steps may go downhill. If the
@@ -158,17 +161,16 @@ def _chain_refine(graph: Graph, gamma, check, assignment):
     (``with_fresh``). A node alone in its community gains nothing by
     detaching, so it scans ``live``; every other node scans ``with_fresh``.
     """
-    n = graph.n
-    m = float(graph.m)
-    k = graph.degrees.astype(np.float64).tolist()
-    indptr, nbr, wgt = _csr(graph)
+    n, indptr, nbr, wgt, degrees = level
+    m = float(degrees.sum()) / 2.0
+    k = degrees.tolist()
     start, nbr, wgt = indptr.tolist(), nbr.tolist(), wgt.tolist()
     adj = [list(zip(nbr[start[v]:start[v + 1]], wgt[start[v]:start[v + 1]]))
            for v in range(n)]
     coef = gamma / (2.0 * m)
 
     comm = np.asarray(assignment, dtype=np.int64)
-    q = _scratch_q(graph, comm, gamma)
+    q = _scratch_q(level, comm, gamma)
     comm = comm.tolist()
     improved_any = False
     while True:
@@ -226,7 +228,7 @@ def _chain_refine(graph: Graph, gamma, check, assignment):
                 lj[c] = lj.get(c, 0.0) + w
             cur_q += best_delta
             if check:
-                scratch = _scratch_q(graph, np.asarray(cur), gamma)
+                scratch = _scratch_q(level, np.asarray(cur), gamma)
                 assert abs(scratch - cur_q) <= 1e-9, (scratch, cur_q)
             if cur_q > best_prefix_q:
                 best_prefix_q = cur_q
@@ -239,8 +241,8 @@ def _chain_refine(graph: Graph, gamma, check, assignment):
             return np.asarray(comm, dtype=np.int64), improved_any
 
 
-def _local_moving(level: Graph, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
-    """One node-moving phase on the current level graph.
+def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
+    """One node-moving phase on the CSR ``level`` (see ``_csr``).
 
     Starts from the communities in ``init`` (ids below the node count, gaps
     allowed). Every node is queued once in a random order; after an accepted
@@ -252,17 +254,17 @@ def _local_moving(level: Graph, gamma, rng, check, init) -> tuple[np.ndarray, bo
     The per-node state lives in Python lists, since scalar indexing into
     numpy arrays dominates this loop. The CSR stays in numpy and each visit
     converts only its own slice: lists of the whole CSR took a 250k-edge
-    ``detect`` from 70 to 91 MiB peak RSS.
+    ``detect`` from 70 to 91 MiB peak RSS. The phase only reads ``level``;
+    louvain_maximize passes the same level-0 tuple to every cycle.
     """
-    n = level.n
+    n, indptr, nbr, wgt, degrees = level
     # aggregation keeps every edge, so each level has the original graph's m
-    m = float(level.m)
-    indptr, nbr, wgt = _csr(level)
+    m = float(degrees.sum()) / 2.0
     start = indptr.tolist()
-    k = level.degrees.astype(np.float64).tolist()
+    k = degrees.tolist()
     comm_arr = np.asarray(init, dtype=np.int64)
     comm_size = np.bincount(comm_arr, minlength=n).tolist()
-    comm_kappa = np.bincount(comm_arr, weights=level.degrees, minlength=n).tolist()
+    comm_kappa = np.bincount(comm_arr, weights=degrees, minlength=n).tolist()
     comm = comm_arr.tolist()
     free = [c for c, size in enumerate(comm_size) if size == 0]  # sorted, a valid heap
     coef = gamma / (2.0 * m)
@@ -326,26 +328,70 @@ def _local_moving(level: Graph, gamma, rng, check, init) -> tuple[np.ndarray, bo
 
 
 def _csr(graph: Graph):
-    n = graph.n
-    loops = graph.edge_u == graph.edge_v
-    u = graph.edge_u[~loops]
-    v = graph.edge_v[~loops]
-    w = graph.edge_w[~loops].astype(np.float64)
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    ww = np.concatenate([w, w])
-    order = np.argsort(src, kind="stable")
-    dst = dst[order]
-    ww = ww[order]
+    """The maximizer's view of ``graph``: a level tuple (n, indptr, nbr, wgt, degrees).
+
+    Row i of the CSR (``nbr``/``wgt`` from ``indptr[i]`` to ``indptr[i + 1]``)
+    lists i's distinct neighbours with their multiplicities as floats: the
+    higher ones ascending, then the lower ones ascending, which is the order
+    a moved node requeues them in. Self-loops stay out of the rows, since they
+    never enter a move gain; they still count in the float ``degrees``, so a
+    level's loop weight is m - sum(wgt) / 2 with m = sum(degrees) / 2.
+    """
+    keep = graph.edge_u != graph.edge_v
+    u = graph.edge_u[keep].astype(np.int32)
+    v = graph.edge_v[keep].astype(np.int32)
+    return _rows(graph.n, u, v, graph.edge_w[keep], graph.degrees.astype(np.float64))
+
+
+def _aggregate(level, dense, b):
+    """The level tuple whose b nodes are the communities ``dense`` of ``level``.
+
+    Equal to ``_csr`` of the graph that ``Graph.from_arrays`` would build on
+    the mapped edges, without building it: each edge between two communities
+    is taken once, from the CSR entry of its lower-community end, and parallel
+    ones are summed. Edges inside a community become loops, which only the
+    degrees keep.
+    """
+    _, indptr, nbr, wgt, degrees = level
+    dense = dense.astype(np.int32)
+    src = np.repeat(dense, indptr[1:] - indptr[:-1])
+    dst = dense[nbr]
+    up = src < dst
+    keys, w = _merge_keys(src[up].astype(np.int64) * b + dst[up], wgt[up])
+    u, v = np.divmod(keys, b)
+    return _rows(b, u, v, w, np.bincount(dense, weights=degrees, minlength=b))
+
+
+def _rows(n, u, v, w, degrees):
+    """Level tuple from distinct loop-free edges u < v sorted by (u, v).
+
+    Row i holds first the edges where i is u, already in v order, then those
+    where i is v, put in u order by one stable sort on v.
+    """
+    sides = np.empty(2 * n, dtype=np.int64)  # per row: u-side count, v-side count
+    sides[0::2] = np.bincount(u, minlength=n)
+    sides[1::2] = np.bincount(v, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src.astype(np.int64), minlength=n), out=indptr[1:])
-    return indptr, dst.astype(np.int64), ww
+    np.cumsum(sides[0::2] + sides[1::2], out=indptr[1:])
+    nbr = np.empty(indptr[-1], dtype=np.int32)
+    wgt = np.empty(indptr[-1], dtype=np.float64)
+    # a mask assignment fills its slots in ascending order
+    u_side = np.repeat(np.arange(2 * n) % 2 == 0, sides)
+    nbr[u_side] = v
+    wgt[u_side] = w
+    order = np.argsort(v, kind="stable")
+    np.logical_not(u_side, out=u_side)
+    nbr[u_side] = u[order]
+    wgt[u_side] = w[order]
+    return n, indptr, nbr, wgt, degrees
 
 
-def _scratch_q(graph: Graph, comm, gamma) -> float:
-    m = float(graph.m)
-    internal = comm[graph.edge_u] == comm[graph.edge_v]
-    m_in = float(graph.edge_w[internal].sum())
+def _scratch_q(level, comm, gamma) -> float:
+    _, indptr, nbr, wgt, degrees = level
+    m = float(degrees.sum()) / 2.0
+    same = np.repeat(comm, indptr[1:] - indptr[:-1]) == comm[nbr]
+    # every non-loop edge sits in two rows; the rest of m is loops
+    m_in = m - float(wgt.sum()) / 2.0 + float(wgt[same].sum()) / 2.0
     b = int(comm.max()) + 1
-    kap = np.bincount(comm, weights=graph.degrees, minlength=b)
+    kap = np.bincount(comm, weights=degrees, minlength=b)
     return m_in / m - gamma * float(np.sum((kap / (2.0 * m)) ** 2))

@@ -117,6 +117,23 @@ def canonical_multigraph(n: int, edges):
     return dict(pairs), degrees
 
 
+def csr_rows(n: int, edges):
+    """Each node's neighbour row as the maximizer's queue reads it.
+
+    Row i lists (neighbour, multiplicity) for every distinct neighbour, the
+    higher ones ascending, then the lower ones ascending; self-loops are left
+    out. ``edges`` is as for ``canonical_multigraph``.
+    """
+    pairs, _ = canonical_multigraph(n, edges)
+    higher = [[] for _ in range(n)]
+    lower = [[] for _ in range(n)]
+    for (u, v), w in sorted(pairs.items()):
+        if u != v:
+            higher[u].append((v, w))
+            lower[v].append((u, w))
+    return [h + lo for h, lo in zip(higher, lower)]
+
+
 def sample_fast_reference(params, seed: int):
     """The fast block-model route as a plain per-pair loop, for stream checks.
 

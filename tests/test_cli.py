@@ -389,6 +389,16 @@ def bad_config_bytes(tmp_path):
     return ["generate", "--config", str(tmp_path / "bad.json")]
 
 
+def negative_seed(command, *extra):
+    def make_argv(tmp_path):
+        graph_path, truth = sweep_inputs(tmp_path)
+        inputs = {"generate": ["--config", write_config(tmp_path, {"model": "plateau"})],
+                  "detect": ["--graph", graph_path],
+                  "sweep": ["--graph", graph_path, "--truth", truth, "--grid", "1:2:2"]}
+        return [command, *inputs[command], *extra]
+    return make_argv
+
+
 def config(model, **fields):
     return lambda tmp_path: ["generate", "--config",
                              write_config(tmp_path, {**model, **fields})]
@@ -419,12 +429,18 @@ def config(model, **fields):
     (config(DCSBM, target_degrees=[[4] * 5, [4] * 5]), 3),
     (config(EPPM, community_sizes=[[8], [8]]), 3),
     (config(EPPM, omega_diag=[[4.0], [5.0]]), 3),
+    # a seed must be a non-negative integer
+    (negative_seed("detect", "--seed", "-1"), 3),
+    (negative_seed("detect", "--method", "multiscale", "--seed", "-1"), 3),
+    (negative_seed("sweep", "--seed", "-3"), 3),
+    (negative_seed("generate", "--seed", "-1"), 3),
 ], ids=["edges-not-utf8", "truth-not-utf8", "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
         "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
         "omega-diag-object", "n-boolean", "degrees-overflow", "omega-huge",
         "fast-means-overflow", "fast-means-too-large", "nested-blocks", "nested-degrees",
-        "nested-sizes", "nested-omega-diag"])
+        "nested-sizes", "nested-omega-diag", "detect-negative-seed",
+        "multiscale-negative-seed", "sweep-negative-seed", "generate-negative-seed"])
 def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
     assert "internal error" not in capsys.readouterr().err

@@ -4,6 +4,7 @@ gain and the agreement scores."""
 
 from __future__ import annotations
 
+import random
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 
 import resolv as rv
 from resolv.graph import split_communities
-from oracles import canonical_multigraph, community_counts, sample_fast_reference
+from resolv.modularity import _aggregate, _csr
+from oracles import canonical_multigraph, community_counts, csr_rows, sample_fast_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -30,6 +32,7 @@ def multigraphs(draw, max_n=8, max_edges=24):
 
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(), st.randoms(use_true_random=False))
+@example(case=(3, []), rnd=random.Random(0))
 def test_builders_agree_with_canonical_oracle(case, rnd):
     n, edges = case
     pairs, degrees = canonical_multigraph(n, edges)
@@ -41,6 +44,40 @@ def test_builders_agree_with_canonical_oracle(case, rnd):
         assert list(g.edges()) == sorted((a, b, c) for (a, b), c in pairs.items())
         assert g.degrees.tolist() == degrees
         assert g.m == sum(pairs.values())
+
+
+def assert_same_level(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.tolist() == b.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.data())
+def test_level_builders_match_the_graph_path(case, data):
+    # the maximizer builds one CSR per call and aggregates CSR to CSR; every
+    # level must equal the CSR of the Graph that from_arrays would build,
+    # row order included, since the order drives the requeue
+    n, edges = case
+    g = rv.Graph.from_edges(n, edges)
+    level = _csr(g)
+    _, indptr, nbr, wgt, degrees = level
+    rows = [list(zip(nbr[indptr[i]:indptr[i + 1]].tolist(), wgt[indptr[i]:indptr[i + 1]].tolist()))
+            for i in range(n)]
+    assert rows == csr_rows(n, edges)
+    assert degrees.tolist() == g.degrees.tolist()
+    for _ in range(data.draw(st.integers(1, 3))):
+        labels = np.array(data.draw(st.lists(st.integers(0, g.n - 1),
+                                             min_size=g.n, max_size=g.n)), dtype=np.int64)
+        # dense community ids in label order, as louvain_maximize relabels
+        dense = np.unique(labels, return_inverse=True)[1]
+        b = int(dense.max()) + 1
+        g = rv.Graph.from_arrays(b, dense[g.edge_u], dense[g.edge_v], g.edge_w)
+        level = _aggregate(level, dense, b)
+        assert_same_level(level, _csr(g))
+        # check mode reads a level's loop weight as m - sum(wgt) / 2
+        loops = int(g.edge_w[g.edge_u == g.edge_v].sum())
+        assert level[4].sum() / 2 - level[3].sum() / 2 == loops
 
 
 @settings(max_examples=200, deadline=None)

@@ -179,7 +179,7 @@ def test_chain_refine_matches_direct_reference():
     # the chain polish keeps its link weights up to date step by step; the
     # oracle recounts them from the edge list at every step. Moves, tie-breaks
     # and kept rounds must agree exactly.
-    from resolv.modularity import _chain_refine
+    from resolv.modularity import _chain_refine, _csr
     rng = np.random.default_rng(16)
     kept = 0
     for trial in range(40):
@@ -187,7 +187,7 @@ def test_chain_refine_matches_direct_reference():
         g = rv.Graph.from_edges(n, edges)
         gamma = float(rng.uniform(0.3, 2.5))
         start = rng.integers(0, 3, size=n)
-        got, got_kept = _chain_refine(g, gamma, False, start)
+        got, got_kept = _chain_refine(_csr(g), gamma, False, start)
         want, want_kept = chain_refine_direct(n, list(g.edges()), gamma, 1e-12, start.tolist())
         assert got.tolist() == want
         assert got_kept == want_kept
@@ -300,3 +300,52 @@ def test_exhaustive_enumerator_counts():
     bells = [1, 2, 5, 15, 52, 203]
     for n, bell in enumerate(bells, start=1):
         assert sum(1 for _ in set_partitions(n)) == bell
+
+
+def test_build_peaks_stay_within_a_few_edge_arrays():
+    # traced heap peaks against the graph's own edge arrays (3 int64 columns).
+    # The merge by argsort and add.reduceat peaks near 2.3x, where unique with
+    # return_inverse reached 3.0x; one lean CSR per maximizer call near 2.5x,
+    # where a 2m concatenate-and-argsort CSR in every phase reached 4.4x.
+    import tracemalloc
+    g, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
+        [160, 160], np.full(320, 312.0), 0.2, [1.8, 1.8]), seed=1)
+    assert g.m > 45_000
+    edge_bytes = g.edge_u.nbytes + g.edge_v.nbytes + g.edge_w.nbytes
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build()
+            return (tracemalloc.get_traced_memory()[1] - before) / edge_bytes
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: rv.Graph.from_arrays(g.n, g.edge_v, g.edge_u, g.edge_w)) < 2.7
+    assert peak(lambda: rv.louvain_maximize(g, 1.0, seed=0)) < 3.0
+
+
+@pytest.mark.parametrize("n, m", [(20, 45), (300, 1200)])
+def test_one_csr_and_no_graph_per_maximizer_call(monkeypatch, n, m):
+    # the chain polish (n <= 32) and every level-0 phase reuse one CSR, and
+    # aggregated levels are built CSR to CSR
+    import importlib
+    modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
+    g = rv.sample_er(n, m, 3)
+    calls = {"csr": 0, "from_arrays": 0}
+    csr, from_arrays = modularity._csr, rv.Graph.from_arrays.__func__
+
+    def counted_csr(graph):
+        calls["csr"] += 1
+        return csr(graph)
+
+    def counted_from_arrays(cls, *args, **kwargs):
+        calls["from_arrays"] += 1
+        return from_arrays(cls, *args, **kwargs)
+
+    monkeypatch.setattr(modularity, "_csr", counted_csr)
+    monkeypatch.setattr(rv.Graph, "from_arrays", classmethod(counted_from_arrays))
+    for seed in range(3):
+        rv.louvain_maximize(g, 1.0, seed=seed)
+    assert calls == {"csr": 3, "from_arrays": 0}
