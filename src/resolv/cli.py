@@ -30,7 +30,7 @@ from .modularity import louvain_maximize, modularity
 from .multiscale import multiscale_detect
 from .resolution import (estimate_density_matrix, fit_extended_ppm, fit_ppm,
                          resolution_interval)
-from .seeding import derive_seed
+from .seeding import _check_seed, derive_seed
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args) -> int:
     with _utf8_text(args.config) as fh:
         config = json.load(fh)
-    graph, truth_assignment = _build_model(config, args.seed)
+    # checked here as well: a clique draws nothing with its seed
+    graph, truth_assignment = _build_model(config, _check_seed(args.seed))
     write_edge_list(graph, f"{args.out}.edges")
     files = [f"{args.out}.edges"]
     if truth_assignment is not None:
@@ -154,7 +155,7 @@ def _build_model(config, seed):
                          "omega_out", "omega_diag"},
     }
     model = config.get("model")
-    if model not in known:
+    if not isinstance(model, str) or model not in known:
         raise ValidationError(
             f"config field 'model' must be one of {sorted(known)}, got {model!r}")
     extra = set(config) - known[model]
@@ -164,61 +165,19 @@ def _build_model(config, seed):
     if missing:
         raise ValidationError(f"missing config field(s) for model {model!r}: {sorted(missing)}")
 
+    fields = {name: value for name, value in config.items() if name != "model"}
     if model == "plateau":
         graph, truth = make_plateau_fixture(seed)
         return graph, truth.assignment
     if model == "er":
-        return sample_er(_field_int(config, "n"), _field_int(config, "m"), seed), None
+        return sample_er(**fields, seed=seed), None
     if model == "clique":
-        return make_clique(_field_int(config, "n")), None
+        return make_clique(**fields), None
     if model == "dcsbm":
-        assignment = _field_array(config, "block_assignment", np.int64)
-        params = DcsbmParams(
-            block_assignment=assignment,
-            target_degrees=_degrees(config, assignment.size),
-            omega=_field_array(config, "omega", np.float64),
-        )
+        params = DcsbmParams(**fields)
         return sample_dcsbm(params, seed), params.block_assignment
-    sizes = _field_array(config, "community_sizes", np.int64)
-    params = ExtendedPpmParams(
-        community_sizes=sizes,
-        target_degrees=_degrees(config, int(sizes.sum())),
-        omega_out=float(_field_array(config, "omega_out", np.float64, scalar=True)),
-        omega_diag=_field_array(config, "omega_diag", np.float64),
-    )
-    graph, truth = sample_extended_ppm(params, seed)
+    graph, truth = sample_extended_ppm(ExtendedPpmParams(**fields), seed)
     return graph, truth.assignment
-
-
-def _field_int(config, name) -> int:
-    return int(_field_array(config, name, np.int64, scalar=True))
-
-
-def _field_array(config, name, dtype, scalar=False) -> np.ndarray:
-    """Config field ``name`` as an array of ``dtype``.
-
-    The field must be a JSON number or, unless ``scalar``, a rectangular
-    (nested) list of numbers; integer fields take integers only. Anything
-    else, booleans included, raises ValidationError naming the field.
-    """
-    value = config[name]
-    kinds = int if dtype == np.int64 else (int, float)
-    cells = np.asarray(value, dtype=object)  # a ragged list keeps lists as cells
-    if (scalar and cells.ndim) or not all(
-            isinstance(x, kinds) and not isinstance(x, bool) for x in cells.flat):
-        kind = "an integer" if kinds is int else "a number"
-        shape = "" if scalar else " or a rectangular list of them"
-        raise ValidationError(f"config field {name!r} must be {kind}{shape}, got {value!r}")
-    try:
-        return cells.astype(dtype)
-    except OverflowError as exc:
-        raise ValidationError(f"config field {name!r}: {exc}") from exc
-
-
-def _degrees(config, n):
-    # scalar target degree broadcasts over all nodes
-    degrees = _field_array(config, "target_degrees", np.float64)
-    return np.full(n, float(degrees)) if degrees.ndim == 0 else degrees
 
 
 def cmd_detect(args) -> int:

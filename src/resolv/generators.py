@@ -26,6 +26,7 @@ Two sampling routes produce the same distribution:
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,9 @@ class DcsbmParams:
     """Degree-corrected block-model parameters.
 
     block_assignment : block id per node (dense 0..B-1)
-    target_degrees   : expected degree per node, > 0
+    target_degrees   : expected degree per node, > 0 (a number: every node's)
     omega            : B x B symmetric relative-density matrix, >= 0
-    A nested list in a per-node field raises ValidationError on construction.
+    Construction checks each field's form (see _field), validate() its values.
     """
 
     block_assignment: np.ndarray
@@ -53,8 +54,11 @@ class DcsbmParams:
     omega: np.ndarray
 
     def __post_init__(self):
-        _set_arrays(self, block_assignment=np.int64, target_degrees=np.float64)
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=np.float64))
+        g = _field("block_assignment", self.block_assignment, np.int64, ndim=1)
+        _assign(self, block_assignment=g,
+                target_degrees=_field("target_degrees", self.target_degrees, np.float64,
+                                      ndim=1, n=g.size),
+                omega=_field("omega", self.omega, np.float64))
 
     @property
     def n(self) -> int:
@@ -89,12 +93,12 @@ class ExtendedPpmParams:
     """Planted partition with one within-density per community.
 
     community_sizes : nodes per community, >= 1 each
-    target_degrees  : expected degree per node (length sum(sizes))
-    omega_out       : shared between-community relative density
+    target_degrees  : expected degree per node (length sum(sizes), or a number)
+    omega_out       : shared between-community relative density (a number)
     omega_diag      : within-community relative density per community; each
                       must exceed omega_out for the pattern to be assortative
                       (checked when there are >= 2 communities)
-    A nested list in an array field raises ValidationError on construction.
+    Construction checks the forms as DcsbmParams does, and the sizes first.
     """
 
     community_sizes: np.ndarray
@@ -103,8 +107,14 @@ class ExtendedPpmParams:
     omega_diag: np.ndarray
 
     def __post_init__(self):
-        _set_arrays(self, community_sizes=np.int64, target_degrees=np.float64,
-                    omega_diag=np.float64)
+        sizes = _field("community_sizes", self.community_sizes, np.int64, ndim=1)
+        if sizes.size == 0 or (sizes < 1).any():
+            raise ValidationError("community_sizes must all be >= 1")
+        _assign(self, community_sizes=sizes,
+                target_degrees=_field("target_degrees", self.target_degrees, np.float64,
+                                      ndim=1, n=int(sizes.sum())),
+                omega_out=_field("omega_out", self.omega_out, np.float64, ndim=0),
+                omega_diag=_field("omega_diag", self.omega_diag, np.float64, ndim=1))
 
     @property
     def B(self) -> int:
@@ -120,10 +130,7 @@ class ExtendedPpmParams:
     def to_dcsbm(self) -> DcsbmParams:
         """The block model of this planted partition, built once its own
         checks pass; the model's validate() runs the remaining ones."""
-        sizes = self.community_sizes
-        if sizes.size == 0 or (sizes < 1).any():
-            raise ValidationError("community_sizes must all be >= 1")
-        if self.omega_diag.size != sizes.size:
+        if self.omega_diag.size != self.B:
             raise ValidationError("omega_diag length does not match community count")
         if self.target_degrees.size != self.n:
             raise ValidationError("target_degrees length does not match total node count")
@@ -133,17 +140,47 @@ class ExtendedPpmParams:
             raise ValidationError("every omega_diag entry must exceed omega_out")
         omega = np.full((self.B, self.B), float(self.omega_out))
         np.fill_diagonal(omega, self.omega_diag)
-        return DcsbmParams(block_assignment=np.repeat(np.arange(self.B), sizes),
+        return DcsbmParams(block_assignment=np.repeat(np.arange(self.B), self.community_sizes),
                            target_degrees=self.target_degrees, omega=omega)
 
 
-def _set_arrays(params, **dtypes) -> None:
-    # each named field becomes a flat array (a scalar, length 1); nesting is an error
-    for name, dtype in dtypes.items():
-        values = np.array(getattr(params, name), dtype=dtype, ndmin=1)
-        if values.ndim != 1:
-            raise ValidationError(f"{name} must be a flat list, not nested")
-        object.__setattr__(params, name, values)
+def _field(name: str, value, dtype, ndim=None, n=None):
+    """Model field ``name`` as a ``dtype`` array, or a Python scalar if ``ndim`` is 0.
+
+    The one check of model fields: ``generate`` passes config fields straight
+    to the constructors and samplers that call this. A field is a number, a
+    rectangular (nested) list of numbers or a numpy array; an integer field
+    takes integers only. Anything else (booleans, strings, ragged lists,
+    values beyond int64) raises ValidationError naming the field. With
+    ``ndim`` 1 a nested list is an error too, and a number is a one-entry
+    list, or ``n`` entries when ``n`` is given. An array of ``dtype`` is kept,
+    not copied.
+    """
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        # by dtype: a check per entry costs about 1 s per million entries
+        cells, ok = value, value.dtype.kind != "b" and np.can_cast(value.dtype, dtype)
+    else:
+        kind = (int, np.integer) if dtype == np.int64 else (int, float, np.integer, np.floating)
+        cells = np.asarray(value, dtype=object)  # a ragged list keeps lists as cells
+        ok = all(isinstance(x, kind) and not isinstance(x, bool) for x in cells.flat)
+    if not ok or (ndim == 0 and cells.ndim):
+        what = "an integer" if dtype == np.int64 else "a number"
+        shape = "" if ndim == 0 else " or a rectangular list of them"
+        raise ValidationError(f"{name} must be {what}{shape}, got {reprlib.repr(value)}")
+    if ndim == 1 and cells.ndim > 1:
+        raise ValidationError(f"{name} must be a flat list, not nested")
+    try:
+        values = cells.astype(dtype, copy=False)
+    except OverflowError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+    if ndim == 1 and values.ndim == 0:
+        values = np.full(1 if n is None else n, values)
+    return values.item() if ndim == 0 else values
+
+
+def _assign(params, **fields) -> None:
+    for name, value in fields.items():
+        object.__setattr__(params, name, value)
 
 
 def sample_dcsbm(params: DcsbmParams, seed: int, method: str = "auto") -> Graph:
@@ -220,7 +257,8 @@ def sample_extended_ppm(params: ExtendedPpmParams, seed: int) -> tuple[Graph, Pa
 
 
 def sample_er(n: int, m: int, seed: int) -> Graph:
-    """Uniform simple graph: m distinct non-loop edges on n nodes."""
+    """Uniform simple graph: m distinct non-loop edges on n nodes (integers)."""
+    n, m = _field("n", n, np.int64, ndim=0), _field("m", m, np.int64, ndim=0)
     if n < 0:
         raise ValidationError("node count must be nonnegative")
     max_m = n * (n - 1) // 2
@@ -236,7 +274,8 @@ def sample_er(n: int, m: int, seed: int) -> Graph:
 
 
 def make_clique(n: int) -> Graph:
-    """Complete simple graph on n nodes."""
+    """Complete simple graph on n nodes (an integer)."""
+    n = _field("n", n, np.int64, ndim=0)
     if n < 1:
         raise ValidationError("a clique needs at least one node")
     return Graph.from_arrays(n, *np.triu_indices(n, k=1))

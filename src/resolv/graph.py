@@ -343,3 +343,12 @@ def partition_stats(graph: Graph, assignment) -> Partition:
     assert int(p.m_r.sum()) + int(p._cross[2].sum()) == graph.m
     assert int(p.kappa_r.sum()) == 2 * graph.m
     return p
+
+
+def _check_partition(graph: Graph, partition: Partition, task: str) -> None:
+    """ValidationError unless ``partition`` was computed for ``graph`` and the
+    graph has an edge; ``task`` names the work that needs one."""
+    if partition.n != graph.n or partition.m != graph.m:
+        raise ValidationError("partition was computed for a different graph")
+    if graph.m < 1:
+        raise ValidationError(f"{task} needs at least one edge")

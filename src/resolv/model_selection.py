@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, Partition
+from .graph import Graph, Partition, _check_partition
 from .resolution import pooled_counts
 
 
@@ -51,10 +51,7 @@ def bayes_log_odds(graph: Graph, partition: Partition) -> OddsReport:
     community of a larger graph, pass the induced subgraph and a partition
     of that subgraph.
     """
-    if partition.n != graph.n or partition.m != graph.m:
-        raise ValidationError("partition was computed for a different graph")
-    if graph.m < 1:
-        raise ValidationError("the split test needs at least one edge")
+    _check_partition(graph, partition, "the split test")
     N = graph.n
     B = partition.B
     a, b = pooled_counts(partition)

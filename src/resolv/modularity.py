@@ -29,7 +29,7 @@ from collections import deque
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, Partition, _merge_keys, partition_stats
+from .graph import Graph, Partition, _check_partition, _merge_keys, partition_stats
 from .seeding import make_rng
 
 # largest graph that gets the chain-move refinement after greedy convergence
@@ -41,10 +41,7 @@ _TOL = 1e-12
 def modularity(graph: Graph, partition: Partition, gamma: float) -> float:
     """Evaluate Q(gamma) for an existing partition."""
     _check_gamma(gamma)
-    if graph.m < 1:
-        raise ValidationError("modularity is undefined on a graph with no edges")
-    if partition.n != graph.n or partition.m != graph.m:
-        raise ValidationError("partition was computed for a different graph")
+    _check_partition(graph, partition, "modularity")
     m = float(graph.m)
     k = partition.kappa_r.astype(np.float64)
     return float(partition.m_r.sum() / m - gamma * np.sum((k / (2.0 * m)) ** 2))

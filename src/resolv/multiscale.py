@@ -26,7 +26,7 @@ from .graph import Graph, Partition, partition_stats, split_communities
 from .model_selection import OddsReport, bayes_log_odds
 from .modularity import louvain_maximize
 from .resolution import rescale_gamma
-from .seeding import derive_seed
+from .seeding import _check_seed, derive_seed
 
 ACCEPTED = "accepted-leaf"
 RECURSED = "recursed"
@@ -111,6 +111,7 @@ def multiscale_detect(graph: Graph, gamma0: float = 0.5, seed: int = 0, *,
         raise ValidationError("gamma0 must be positive and finite")
     if max_depth < 1 or min_size < 1:
         raise ValidationError("max_depth and min_size must be >= 1")
+    seed = _check_seed(seed)  # a root below min_size draws nothing
 
     def evaluate(sub: Graph, ids: np.ndarray, depth: int, node_seed: int) -> TreeNode:
         if depth == 0:

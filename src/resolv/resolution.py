@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, Partition
+from .graph import Graph, Partition, _check_partition
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def estimate_density_matrix(graph: Graph, partition: Partition) -> DensityMatrix
     Requires every community to carry degree; a zero-degree community has
     no density estimate and is reported by id.
     """
-    _check_pair(graph, partition)
+    _check_partition(graph, partition, "density estimation")
     kap = partition.kappa_r.astype(np.float64)
     B = partition.B
     m = float(graph.m)
@@ -148,7 +148,7 @@ def fit_ppm(graph: Graph, partition: Partition) -> PpmFit:
 
         omega_in = a / b,   omega_out = (2m - a) / (2m - b)
     """
-    _check_pair(graph, partition)
+    _check_partition(graph, partition, "density estimation")
     if partition.B < 2:
         raise ValidationError("pooled fit needs at least two communities")
     a, b = pooled_counts(partition)
@@ -202,10 +202,3 @@ def _within_density(graph: Graph, partition: Partition) -> np.ndarray:
         raise ValidationError(f"community {int(zero[0])} has zero total degree")
     kap = partition.kappa_r.astype(np.float64)
     return 4.0 * float(graph.m) * partition.m_r.astype(np.float64) / kap**2
-
-
-def _check_pair(graph: Graph, partition: Partition) -> None:
-    if partition.n != graph.n or partition.m != graph.m:
-        raise ValidationError("partition was computed for a different graph")
-    if graph.m < 1:
-        raise ValidationError("density estimation needs at least one edge")

@@ -434,13 +434,21 @@ def config(model, **fields):
     (negative_seed("detect", "--method", "multiscale", "--seed", "-1"), 3),
     (negative_seed("sweep", "--seed", "-3"), 3),
     (negative_seed("generate", "--seed", "-1"), 3),
+    # a clique draws nothing, so only the seed check can reject its seed
+    (lambda tmp_path: config({"model": "clique"}, n=4)(tmp_path) + ["--seed", "-1"], 3),
+    # negative sizes with a scalar degree, which broadcasts only after the size check
+    (config(EPPM, community_sizes=-1), 3),
+    (config(EPPM, community_sizes=[-5]), 3),
+    # an unhashable model name
+    (config({"model": ["er"]}), 3),
 ], ids=["edges-not-utf8", "truth-not-utf8", "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
         "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
         "omega-diag-object", "n-boolean", "degrees-overflow", "omega-huge",
         "fast-means-overflow", "fast-means-too-large", "nested-blocks", "nested-degrees",
         "nested-sizes", "nested-omega-diag", "detect-negative-seed",
-        "multiscale-negative-seed", "sweep-negative-seed", "generate-negative-seed"])
+        "multiscale-negative-seed", "sweep-negative-seed", "generate-negative-seed",
+        "clique-negative-seed", "negative-size-scalar", "negative-size-list", "model-list"])
 def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
     assert "internal error" not in capsys.readouterr().err

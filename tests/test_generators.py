@@ -207,6 +207,52 @@ def test_params_reject_nested_lists_by_field_name(make, field):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: rv.DcsbmParams([0.7, 1.9, 1], 4.0, np.eye(2)),
+     "^block_assignment must be an integer"),
+    (lambda: rv.DcsbmParams([0, True, 1], 4.0, np.eye(2)),
+     "^block_assignment must be an integer"),
+    (lambda: rv.DcsbmParams(np.array([0.0, 1.0]), 4.0, np.eye(2)),
+     "^block_assignment must be an integer"),
+    (lambda: rv.DcsbmParams([0, 1], np.array([True, True]), np.eye(2)),
+     "^target_degrees must be a number"),
+    (lambda: rv.DcsbmParams([0, 1], "x", np.eye(2)), "^target_degrees must be a number"),
+    (lambda: rv.DcsbmParams([0, 1], 4.0, [[1.0, 0.2], [0.2]]), "^omega must be a number"),
+    (lambda: rv.DcsbmParams([0, 1], 4.0, [[1.0, 10 ** 400], [0.2, 1.0]]), "^omega: "),
+    (lambda: rv.ExtendedPpmParams([2.9, 3.2], 6.0, 0.2, [4.0, 5.0]),
+     "^community_sizes must be an integer"),
+    (lambda: rv.ExtendedPpmParams([10 ** 30], 6.0, 0.2, [4.0]), "^community_sizes: "),
+    (lambda: rv.ExtendedPpmParams([8, 8], "x", 0.2, [4.0, 5.0]),
+     "^target_degrees must be a number"),
+    (lambda: rv.ExtendedPpmParams([8, 8], 6.0, [0.2], [4.0, 5.0]),
+     "^omega_out must be a number, "),
+    # a scalar degree broadcasts only over sizes that passed their check
+    (lambda: rv.ExtendedPpmParams(-1, 2.0, 0.2, [1.0]), "^community_sizes must all be >= 1"),
+    (lambda: rv.ExtendedPpmParams([-5], 2.0, 0.2, [1.0]), "^community_sizes must all be >= 1"),
+    (lambda: rv.sample_er(True, 0, 0), "^n must be an integer, "),
+    (lambda: rv.sample_er(10, 2.0, 0), "^m must be an integer, "),
+    (lambda: rv.make_clique(2 ** 63), "^n: "),
+], ids=["fractional-blocks", "boolean-block", "float-array-blocks", "boolean-array-degrees",
+        "degrees-string", "ragged-omega", "omega-overflow", "fractional-sizes", "sizes-overflow",
+        "ppm-degrees-string", "omega-out-list", "negative-size-scalar", "negative-size-list",
+        "er-n-boolean", "er-m-float", "clique-overflow"])
+def test_fields_are_checked_once_by_field_name(make, message):
+    with pytest.raises(rv.ValidationError, match=message):
+        make()
+
+
+def test_field_forms_and_scalar_degrees():
+    # a number, a (nested) list or a numpy array; a scalar degree is every node's
+    params = rv.DcsbmParams(np.array([0, 0, 1], dtype=np.int32), 4, [[2, 1], [1, 2]])
+    assert params.block_assignment.dtype == np.int64
+    assert params.target_degrees.tolist() == [4.0, 4.0, 4.0]
+    assert params.omega.dtype == np.float64
+    ppm = rv.ExtendedPpmParams(np.array([2, 3]), np.float64(5), 0, np.array([3, 4]))
+    assert ppm.target_degrees.tolist() == [5.0] * 5 and ppm.omega_out == 0.0
+    # a one-entry list is a list, not a scalar: it does not broadcast
+    assert rv.ExtendedPpmParams([2, 3], [5.0], 0.2, [3.0, 4.0]).target_degrees.size == 1
+
+
 def test_extended_ppm_single_community_allowed():
     params = rv.ExtendedPpmParams([12], np.full(12, 5.0), 0.0, [1.0])
     g, truth = rv.sample_extended_ppm(params, seed=3)

@@ -12,11 +12,13 @@ EPPM = rv.ExtendedPpmParams([4, 4], np.full(8, 3.0), 0.2, [4.0, 4.0])
 @pytest.mark.parametrize("entry", [
     lambda s: rv.louvain_maximize(GRAPH, 1.0, seed=s),
     lambda s: rv.multiscale_detect(GRAPH, seed=s),
+    # the root is below min_size, so nothing is drawn
+    lambda s: rv.multiscale_detect(rv.Graph.from_edges(2, [(0, 1)]), seed=s),
     lambda s: rv.sample_er(10, 5, s),
     lambda s: rv.sample_extended_ppm(EPPM, s),
     lambda s: rv.make_plateau_fixture(s),
     lambda s: rv.derive_seed(s, 0),
-], ids=["louvain", "multiscale", "er", "extended-ppm", "plateau", "derive"])
+], ids=["louvain", "multiscale", "multiscale-2-nodes", "er", "extended-ppm", "plateau", "derive"])
 def test_invalid_seed_is_a_validation_error(entry, seed):
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
         entry(seed)
