@@ -264,11 +264,10 @@ def cmd_metrics(args) -> int:
     detected = load_communities(args.detected)
     truth = load_communities(args.truth)
     table = ContingencyTable.from_assignments(detected, truth)
-    order = list(dict.fromkeys(truth.values()))  # first-appearance ranking
     report = {
         "nmi": nmi(detected, truth),
         "ari": ari(detected, truth),
-        "f_measure": f_measure(detected, truth, top_k=args.top_k, order=order),
+        "f_measure": f_measure(detected, truth, top_k=args.top_k),
         "dropped_nodes": {"detected_only": table.dropped_left,
                           "truth_only": table.dropped_right},
     }

@@ -27,12 +27,12 @@ Two sampling routes produce the same distribution:
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, Partition, partition_stats
+from .graph import Graph, Partition, _check_node_count, partition_stats
 from .seeding import derive_seed, make_rng
 
 _EXACT_LIMIT = 2000
@@ -41,12 +41,13 @@ _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # 
 
 @dataclass(frozen=True)
 class DcsbmParams:
-    """Degree-corrected block-model parameters.
+    """Degree-corrected block-model parameters, checked when built.
 
     block_assignment : block id per node (dense 0..B-1)
     target_degrees   : expected degree per node, > 0 (a number: every node's)
     omega            : B x B symmetric relative-density matrix, >= 0
-    Construction checks each field's form (see _field), validate() its values.
+    Construction checks each field's form (see _field), then its values, and
+    raises ValidationError on the first that fails.
     """
 
     block_assignment: np.ndarray
@@ -55,23 +56,8 @@ class DcsbmParams:
 
     def __post_init__(self):
         g = _field("block_assignment", self.block_assignment, np.int64, ndim=1)
-        _assign(self, block_assignment=g,
-                target_degrees=_field("target_degrees", self.target_degrees, np.float64,
-                                      ndim=1, n=g.size),
-                omega=_field("omega", self.omega, np.float64))
-
-    @property
-    def n(self) -> int:
-        return self.block_assignment.size
-
-    @property
-    def B(self) -> int:
-        return self.omega.shape[0]
-
-    def validate(self) -> None:
-        g = self.block_assignment
-        k = self.target_degrees
-        w = self.omega
+        k = _field("target_degrees", self.target_degrees, np.float64, ndim=1, n=g.size)
+        w = _field("omega", self.omega, np.float64)
         if g.size == 0:
             raise ValidationError("block_assignment is empty")
         if k.size != g.size:
@@ -86,35 +72,58 @@ class DcsbmParams:
             raise ValidationError("omega must be symmetric")
         if g.min() < 0 or g.max() >= w.shape[0]:
             raise ValidationError("block_assignment references a block outside omega")
+        _assign(self, block_assignment=g, target_degrees=k, omega=w)
+
+    @property
+    def n(self) -> int:
+        return self.block_assignment.size
+
+    @property
+    def B(self) -> int:
+        return self.omega.shape[0]
 
 
 @dataclass(frozen=True)
 class ExtendedPpmParams:
-    """Planted partition with one within-density per community.
+    """Planted partition with one within-density per community, checked when built.
 
-    community_sizes : nodes per community, >= 1 each
+    community_sizes : nodes per community, >= 1 each, at most 2**31 in all
     target_degrees  : expected degree per node (length sum(sizes), or a number)
     omega_out       : shared between-community relative density (a number)
     omega_diag      : within-community relative density per community; each
                       must exceed omega_out for the pattern to be assortative
                       (checked when there are >= 2 communities)
-    Construction checks the forms as DcsbmParams does, and the sizes first.
+    Construction checks the sizes first, then the forms as DcsbmParams does,
+    then the values, and builds the block model to_dcsbm() returns.
     """
 
     community_sizes: np.ndarray
     target_degrees: np.ndarray
     omega_out: float
     omega_diag: np.ndarray
+    _model: DcsbmParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = _field("community_sizes", self.community_sizes, np.int64, ndim=1)
         if sizes.size == 0 or (sizes < 1).any():
             raise ValidationError("community_sizes must all be >= 1")
-        _assign(self, community_sizes=sizes,
-                target_degrees=_field("target_degrees", self.target_degrees, np.float64,
-                                      ndim=1, n=int(sizes.sum())),
-                omega_out=_field("omega_out", self.omega_out, np.float64, ndim=0),
-                omega_diag=_field("omega_diag", self.omega_diag, np.float64, ndim=1))
+        n = _check_node_count(sum(sizes.tolist()))  # Python ints: an int64 sum can wrap
+        k = _field("target_degrees", self.target_degrees, np.float64, ndim=1, n=n)
+        omega_out = _field("omega_out", self.omega_out, np.float64, ndim=0)
+        omega_diag = _field("omega_diag", self.omega_diag, np.float64, ndim=1)
+        b = sizes.size
+        if omega_diag.size != b:
+            raise ValidationError("omega_diag length does not match community count")
+        if k.size != n:
+            raise ValidationError("target_degrees length does not match total node count")
+        if not np.isfinite(omega_out) or omega_out < 0:
+            raise ValidationError("omega_out must be nonnegative and finite")
+        if b >= 2 and not (omega_diag > omega_out).all():
+            raise ValidationError("every omega_diag entry must exceed omega_out")
+        omega = np.full((b, b), omega_out)
+        np.fill_diagonal(omega, omega_diag)
+        _assign(self, community_sizes=sizes, target_degrees=k, omega_out=omega_out,
+                omega_diag=omega_diag, _model=DcsbmParams(np.repeat(np.arange(b), sizes), k, omega))
 
     @property
     def B(self) -> int:
@@ -122,26 +131,11 @@ class ExtendedPpmParams:
 
     @property
     def n(self) -> int:
-        return int(self.community_sizes.sum())
-
-    def validate(self) -> None:
-        self.to_dcsbm().validate()
+        return self._model.n
 
     def to_dcsbm(self) -> DcsbmParams:
-        """The block model of this planted partition, built once its own
-        checks pass; the model's validate() runs the remaining ones."""
-        if self.omega_diag.size != self.B:
-            raise ValidationError("omega_diag length does not match community count")
-        if self.target_degrees.size != self.n:
-            raise ValidationError("target_degrees length does not match total node count")
-        if not np.isfinite(self.omega_out) or self.omega_out < 0:
-            raise ValidationError("omega_out must be nonnegative and finite")
-        if self.B >= 2 and not (self.omega_diag > self.omega_out).all():
-            raise ValidationError("every omega_diag entry must exceed omega_out")
-        omega = np.full((self.B, self.B), float(self.omega_out))
-        np.fill_diagonal(omega, self.omega_diag)
-        return DcsbmParams(block_assignment=np.repeat(np.arange(self.B), self.community_sizes),
-                           target_degrees=self.target_degrees, omega=omega)
+        """The block model of this planted partition, built with it."""
+        return self._model
 
 
 def _field(name: str, value, dtype, ndim=None, n=None):
@@ -190,9 +184,9 @@ def sample_dcsbm(params: DcsbmParams, seed: int, method: str = "auto") -> Graph:
     same method, same graph, bit for bit. "fast" costs one Poisson draw per
     block pair, then endpoint draws per edge, in the order the module
     docstring gives as its seed contract. A Poisson mean that is not finite
-    or beyond numpy's range raises ValidationError before any draw.
+    or beyond numpy's range raises ValidationError before any draw; every
+    other value was checked when ``params`` was built.
     """
-    params.validate()
     if method == "auto":
         method = "exact" if params.n <= _EXACT_LIMIT else "fast"
     if method not in ("exact", "fast"):
@@ -258,9 +252,8 @@ def sample_extended_ppm(params: ExtendedPpmParams, seed: int) -> tuple[Graph, Pa
 
 def sample_er(n: int, m: int, seed: int) -> Graph:
     """Uniform simple graph: m distinct non-loop edges on n nodes (integers)."""
-    n, m = _field("n", n, np.int64, ndim=0), _field("m", m, np.int64, ndim=0)
-    if n < 0:
-        raise ValidationError("node count must be nonnegative")
+    n = _check_node_count(_field("n", n, np.int64, ndim=0))
+    m = _field("m", m, np.int64, ndim=0)
     max_m = n * (n - 1) // 2
     if m < 0 or m > max_m:
         raise ValidationError(f"edge count must be within 0..{max_m} for n={n}")
@@ -278,6 +271,7 @@ def make_clique(n: int) -> Graph:
     n = _field("n", n, np.int64, ndim=0)
     if n < 1:
         raise ValidationError("a clique needs at least one node")
+    _check_node_count(n)  # n(n-1)/2 edges can exceed memory well below the limit
     return Graph.from_arrays(n, *np.triu_indices(n, k=1))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class Graph:
 
     Edges are canonicalized: u <= v, sorted lexicographically, duplicates
     merged into the multiplicity column. ``degrees`` and ``m`` are derived
-    at construction and validated (sum(degrees) == 2*m).
+    at construction and checked (sum(degrees) == 2*m).
     """
 
     n: int
@@ -64,11 +64,10 @@ class Graph:
 
         ``w`` holds each edge's multiplicity (default 1). Repeated pairs
         accumulate multiplicity and endpoint order within a pair does not
-        matter. Endpoints must be integers in 0..n-1, multiplicities
-        integers >= 1.
+        matter. ``n`` is at most 2**31, endpoints must be integers in
+        0..n-1, multiplicities integers >= 1.
         """
-        if n < 0:
-            raise ValidationError("node count must be nonnegative")
+        _check_node_count(n)
         u = _int64(u, "edge endpoints")
         v = _int64(v, "edge endpoints")
         w = np.ones(u.size, dtype=np.int64) if w is None else _int64(w, "edge multiplicities")
@@ -105,6 +104,19 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield canonical (u, v, multiplicity) triples, u <= v, sorted."""
         yield from zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist())
+
+
+# the maximizer's CSR arrays hold node ids as int32 (see modularity._csr)
+_MAX_NODES = 2 ** 31
+
+
+def _check_node_count(n: int) -> int:
+    """``n``, once it is checked to be a node count in 0..2**31."""
+    if n < 0:
+        raise ValidationError("node count must be nonnegative")
+    if n > _MAX_NODES:
+        raise ValidationError(f"node count {n} exceeds the limit of 2**31")
+    return n
 
 
 def _merge_keys(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,20 +217,16 @@ def load_communities(path) -> dict[str, str]:
     return out
 
 
-def write_communities(assignment: Mapping[str, str] | np.ndarray, path,
-                      labels: Sequence[str] | None = None) -> None:
-    """Write a node-to-community file.
+def write_communities(assignment: np.ndarray, path, labels: Sequence[str] | None = None) -> None:
+    """Write a node-to-community file from a per-node integer array.
 
-    Accepts either a mapping of labels, or a per-node integer array plus an
-    optional label list of the same length (checked before the file opens).
+    Node i is written as ``labels[i]``, or as i when there are no labels; a
+    label list of another length is rejected before the file opens.
     """
-    if isinstance(assignment, Mapping):
-        rows = assignment.items()
-    else:
-        comms = np.asarray(assignment, dtype=np.int64).tolist()
-        if labels is not None and len(labels) != len(comms):
-            raise ValidationError(f"{len(labels)} labels for {len(comms)} assigned nodes")
-        rows = zip(map(str, range(len(comms))) if labels is None else labels, comms)
+    comms = np.asarray(assignment, dtype=np.int64).tolist()
+    if labels is not None and len(labels) != len(comms):
+        raise ValidationError(f"{len(labels)} labels for {len(comms)} assigned nodes")
+    rows = zip(map(str, range(len(comms))) if labels is None else labels, comms)
     with open(path, "w", encoding="utf-8") as fh:
         for node, comm in rows:
             fh.write(f"{node}\t{comm}\n")

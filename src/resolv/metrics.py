@@ -9,7 +9,7 @@ them. Scores are invariant under community relabeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 import numpy as np
 
@@ -116,15 +116,14 @@ def ari(left: Mapping, right: Mapping) -> float:
     return numer / denom
 
 
-def f_measure(detected: Mapping, reference: Mapping, top_k: int | None = None,
-              order: Sequence[Hashable] | None = None) -> float:
+def f_measure(detected: Mapping, reference: Mapping, top_k: int | None = None) -> float:
     """Size-weighted best-match F1 of detected communities against reference.
 
     Each detected community X contributes |X|/|V| times the best F1 score
     2|X & Y| / (|X| + |Y|) over eligible reference communities Y. With
-    top_k set, only the first top_k communities of ``order`` (a ranking of
-    reference community labels, best first) are eligible; omitting both
-    compares against every reference community.
+    top_k set, only the first top_k reference communities in order of first
+    appearance in ``reference`` are eligible (among those sharing a node with
+    ``detected``); omitting it compares against every reference community.
     """
     table = ContingencyTable.from_assignments(detected, reference)
     cols = np.arange(len(table.col_labels))
@@ -134,20 +133,10 @@ def f_measure(detected: Mapping, reference: Mapping, top_k: int | None = None,
         if top_k > len(table.col_labels):
             raise ValidationError(
                 f"top_k={top_k} exceeds the {len(table.col_labels)} reference communities")
-        if top_k < len(table.col_labels):
-            if order is None:
-                raise ValidationError(
-                    "top_k below the reference community count needs an explicit order")
-            col_pos = {label: i for i, label in enumerate(table.col_labels)}
-            picked = []
-            for label in order:
-                if label in col_pos:
-                    picked.append(col_pos[label])
-                if len(picked) == top_k:
-                    break
-            if len(picked) < top_k:
-                raise ValidationError("order does not cover top_k reference communities")
-            cols = np.asarray(picked, dtype=np.int64)
+        col_pos = {label: i for i, label in enumerate(table.col_labels)}
+        ranked = [col_pos[label] for label in dict.fromkeys(reference.values())
+                  if label in col_pos]
+        cols = np.asarray(ranked[:top_k], dtype=np.int64)
     counts = table.counts[:, cols].astype(np.float64)
     row = table.row_totals.astype(np.float64)
     col = table.col_totals[cols].astype(np.float64)

@@ -441,6 +441,10 @@ def config(model, **fields):
     (config(EPPM, community_sizes=[-5]), 3),
     # an unhashable model name
     (config({"model": ["er"]}), 3),
+    # node counts above 2**31, checked before anything is allocated
+    (config(EPPM, community_sizes=[2 ** 62, 2 ** 62]), 3),
+    (config(EPPM, community_sizes=[2 ** 62], omega_diag=[4.0]), 3),
+    (config({"model": "er", "m": 0}, n=10 ** 10), 3),
 ], ids=["edges-not-utf8", "truth-not-utf8", "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
         "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
@@ -448,7 +452,8 @@ def config(model, **fields):
         "fast-means-overflow", "fast-means-too-large", "nested-blocks", "nested-degrees",
         "nested-sizes", "nested-omega-diag", "detect-negative-seed",
         "multiscale-negative-seed", "sweep-negative-seed", "generate-negative-seed",
-        "clique-negative-seed", "negative-size-scalar", "negative-size-list", "model-list"])
+        "clique-negative-seed", "negative-size-scalar", "negative-size-list", "model-list",
+        "sizes-past-int64", "size-past-limit", "er-past-limit"])
 def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
     assert "internal error" not in capsys.readouterr().err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -158,12 +159,12 @@ def test_zero_density_gives_empty_graph():
 def test_dcsbm_validation_errors():
     good = two_block_params()
     with pytest.raises(rv.ValidationError):
-        rv.DcsbmParams(good.block_assignment, -np.ones(100), good.omega).validate()
+        rv.DcsbmParams(good.block_assignment, -np.ones(100), good.omega)
     with pytest.raises(rv.ValidationError):
         rv.DcsbmParams(good.block_assignment, good.target_degrees,
-                       np.array([[1.0, 0.2], [0.3, 1.0]])).validate()
+                       np.array([[1.0, 0.2], [0.3, 1.0]]))
     with pytest.raises(rv.ValidationError):
-        rv.DcsbmParams(np.repeat([0, 2], 50), good.target_degrees, good.omega).validate()
+        rv.DcsbmParams(np.repeat([0, 2], 50), good.target_degrees, good.omega)
     with pytest.raises(rv.ValidationError):
         rv.sample_dcsbm(good, seed=0, method="typo")
     big = rv.DcsbmParams(np.zeros(2001, dtype=int), np.full(2001, 2.0), np.ones((1, 1)))
@@ -173,24 +174,52 @@ def test_dcsbm_validation_errors():
 
 def test_extended_ppm_requires_assortative_diagonals():
     with pytest.raises(rv.ValidationError):
-        rv.ExtendedPpmParams([5, 5], np.full(10, 4.0), 0.5, [0.5, 2.0]).validate()
+        rv.ExtendedPpmParams([5, 5], np.full(10, 4.0), 0.5, [0.5, 2.0])
 
 
 def test_extended_ppm_builds_and_checks_its_model_once(monkeypatch):
-    calls = {"to_dcsbm": 0, "validate": 0}
-    to_dcsbm, validate = rv.ExtendedPpmParams.to_dcsbm, rv.DcsbmParams.validate
+    built = []
+    post_init = rv.DcsbmParams.__post_init__
 
-    def counting(name, fn):
-        def wrapper(self):
-            calls[name] += 1
-            return fn(self)
-        return wrapper
+    def counting(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(rv.ExtendedPpmParams, "to_dcsbm", counting("to_dcsbm", to_dcsbm))
-    monkeypatch.setattr(rv.DcsbmParams, "validate", counting("validate", validate))
+    monkeypatch.setattr(rv.DcsbmParams, "__post_init__", counting)
     params = rv.ExtendedPpmParams([3, 4, 5], np.full(12, 6.0), 0.2, [2.0, 3.0, 4.0])
+    assert len(built) == 1
     rv.sample_extended_ppm(params, seed=1)
-    assert calls == {"to_dcsbm": 1, "validate": 1}
+    assert len(built) == 1
+    assert params.to_dcsbm() is params.to_dcsbm() is built[0]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: rv.DcsbmParams([], [], np.eye(1)), "block_assignment is empty"),
+    (lambda: rv.DcsbmParams([0, 1], [4.0, 4.0, 4.0], np.eye(2)),
+     "target_degrees length does not match block_assignment"),
+    (lambda: rv.DcsbmParams([0, 1], [-1.0, 2.0], np.eye(2)),
+     "target_degrees must be positive and finite"),
+    (lambda: rv.DcsbmParams([0, 1], 4.0, np.ones((2, 3))), "omega must be a square matrix"),
+    (lambda: rv.DcsbmParams([0, 1], 4.0, [[1.0, -0.2], [-0.2, 1.0]]),
+     "omega entries must be nonnegative and finite"),
+    (lambda: rv.DcsbmParams([0, 1], 4.0, [[1.0, 0.2], [0.3, 1.0]]), "omega must be symmetric"),
+    (lambda: rv.DcsbmParams([0, 2], 4.0, np.eye(2)),
+     "block_assignment references a block outside omega"),
+    (lambda: rv.ExtendedPpmParams([5, 5], 4.0, 0.5, [2.0]),
+     "omega_diag length does not match community count"),
+    (lambda: rv.ExtendedPpmParams([5, 5], [4.0] * 9, 0.5, [2.0, 3.0]),
+     "target_degrees length does not match total node count"),
+    (lambda: rv.ExtendedPpmParams([5, 5], 4.0, float("nan"), [2.0, 3.0]),
+     "omega_out must be nonnegative and finite"),
+    (lambda: rv.ExtendedPpmParams([5, 5], 4.0, 0.5, [0.5, 2.0]),
+     "every omega_diag entry must exceed omega_out"),
+], ids=["empty-blocks", "degrees-length", "negative-degree", "omega-not-square",
+        "negative-omega", "asymmetric-omega", "block-outside-omega", "ppm-diag-length",
+        "ppm-degrees-length", "ppm-omega-out-nan", "ppm-not-assortative"])
+def test_params_are_valid_once_built(make, message):
+    # the constructor alone raises: no params object holds an invalid value
+    with pytest.raises(rv.ValidationError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize("make, field", [
@@ -205,6 +234,9 @@ def test_params_reject_nested_lists_by_field_name(make, field):
     # the CLI prints this message, so a nested config field is named there too
     with pytest.raises(rv.ValidationError, match=f"^{field} must be a flat list"):
         make()
+
+
+NODE_LIMIT = r"^node count \d+ exceeds the limit of 2\*\*31$"
 
 
 @pytest.mark.parametrize("make, message", [
@@ -232,10 +264,18 @@ def test_params_reject_nested_lists_by_field_name(make, field):
     (lambda: rv.sample_er(True, 0, 0), "^n must be an integer, "),
     (lambda: rv.sample_er(10, 2.0, 0), "^m must be an integer, "),
     (lambda: rv.make_clique(2 ** 63), "^n: "),
+    # node counts above 2**31, far enough that numpy would refuse them without
+    # allocating if the check were missing (2**31 + 1 would allocate gigabytes)
+    (lambda: rv.Graph.from_arrays(2 ** 62, [], []), NODE_LIMIT),
+    (lambda: rv.ExtendedPpmParams([2 ** 62, 2 ** 62], 2.0, 0.2, [1.0, 2.0]), NODE_LIMIT),
+    (lambda: rv.ExtendedPpmParams([2 ** 62], 2.0, 0.2, [1.0]), NODE_LIMIT),
+    (lambda: rv.sample_er(10 ** 10, 0, 0), NODE_LIMIT),
+    (lambda: rv.make_clique(2 ** 62), NODE_LIMIT),
 ], ids=["fractional-blocks", "boolean-block", "float-array-blocks", "boolean-array-degrees",
         "degrees-string", "ragged-omega", "omega-overflow", "fractional-sizes", "sizes-overflow",
         "ppm-degrees-string", "omega-out-list", "negative-size-scalar", "negative-size-list",
-        "er-n-boolean", "er-m-float", "clique-overflow"])
+        "er-n-boolean", "er-m-float", "clique-overflow", "graph-past-limit",
+        "sizes-past-int64", "size-past-limit", "er-past-limit", "clique-past-limit"])
 def test_fields_are_checked_once_by_field_name(make, message):
     with pytest.raises(rv.ValidationError, match=message):
         make()
@@ -250,7 +290,9 @@ def test_field_forms_and_scalar_degrees():
     ppm = rv.ExtendedPpmParams(np.array([2, 3]), np.float64(5), 0, np.array([3, 4]))
     assert ppm.target_degrees.tolist() == [5.0] * 5 and ppm.omega_out == 0.0
     # a one-entry list is a list, not a scalar: it does not broadcast
-    assert rv.ExtendedPpmParams([2, 3], [5.0], 0.2, [3.0, 4.0]).target_degrees.size == 1
+    with pytest.raises(rv.ValidationError,
+                       match="^target_degrees length does not match total node count$"):
+        rv.ExtendedPpmParams([2, 3], [5.0], 0.2, [3.0, 4.0])
 
 
 def test_extended_ppm_single_community_allowed():

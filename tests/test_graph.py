@@ -169,8 +169,8 @@ def test_m_rs_rejects_same_community(two_triangles):
 
 def test_communities_file_roundtrip(tmp_path):
     path = tmp_path / "c.communities"
-    rv.write_communities({"a": "x", "b": "y"}, path)
-    assert rv.load_communities(path) == {"a": "x", "b": "y"}
+    rv.write_communities([3, 3, 5], path)  # without labels, node i is written as i
+    assert rv.load_communities(path) == {"0": "3", "1": "3", "2": "5"}
 
 
 def test_communities_labels_must_match_assignment(tmp_path):

@@ -99,7 +99,7 @@ def test_f_measure_top_k_restricts_targets():
     reference = {0: "x", 1: "x", 2: "y", 3: "y"}
     full = rv.f_measure(detected, reference)
     assert full == 1.0
-    limited = rv.f_measure(detected, reference, top_k=1, order=["x", "y"])
+    limited = rv.f_measure(detected, reference, top_k=1)
     # community b scores 0 against x... not zero: 2*0/(2+2) = 0
     assert limited == pytest.approx(0.5 * 1.0 + 0.5 * 0.0, abs=1e-12)
 
@@ -109,8 +109,8 @@ def test_f_measure_top_k_validation():
     reference = {0: 0, 1: 1}
     with pytest.raises(rv.ValidationError):
         rv.f_measure(detected, reference, top_k=3)
-    with pytest.raises(rv.ValidationError):
-        rv.f_measure(detected, reference, top_k=1)  # no order given
+    # top_k ranks the reference's communities by first appearance
+    assert rv.f_measure(detected, reference, top_k=1) == 0.5
     assert rv.f_measure(detected, reference, top_k=2) == 1.0
 
 
