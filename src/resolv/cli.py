@@ -130,7 +130,7 @@ def cmd_generate(args) -> int:
     write_edge_list(graph, f"{args.out}.edges")
     files = [f"{args.out}.edges"]
     if truth_assignment is not None:
-        write_communities(np.asarray(truth_assignment), f"{args.out}.communities")
+        write_communities(truth_assignment, f"{args.out}.communities")
         files.append(f"{args.out}.communities")
     provenance = {"tool": "resolv", "version": __version__,
                   "seed": args.seed, "config": config}

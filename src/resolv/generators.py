@@ -11,17 +11,17 @@ where 2m = sum(k). omega is expressed relative to a degree-preserving
 random graph, so omega == 1 everywhere reproduces a configuration-model-like
 graph and realized degrees match targets in expectation.
 
-Two sampling routes produce the same distribution:
+Two routes draw from the same distribution; the node count alone picks one:
 
-* "exact": one Poisson draw per node pair. Transparent, quadratic; capped
-  at 2000 nodes.
-* "fast": one Poisson draw per *block pair* for the total edge count, then
-  endpoints drawn within each block proportional to target degree. Thinning
-  a Poisson process over pairs by endpoint probabilities k_i/kappa_r gives
-  independent pair counts with exactly the means above, so the routes agree
-  in distribution (not draw-for-draw). It costs one Poisson draw per block
-  pair plus endpoint draws per edge. Its draw order is a seed contract that
-  tests pin: pairs r <= s row-major; per pair the count, r ends, then s ends.
+* "exact", up to 2000 nodes: one Poisson draw per node pair; quadratic.
+* "fast", above 2000 nodes: one Poisson draw per *block pair* for the total
+  edge count, then endpoints drawn within each block proportional to target
+  degree. Thinning a Poisson process over pairs by endpoint probabilities
+  k_i/kappa_r gives independent pair counts with exactly the means above,
+  so the routes agree in distribution (not draw-for-draw). It costs one
+  Poisson draw per block pair plus endpoint draws per edge. Its draw order
+  is a seed contract that tests pin: pairs r <= s row-major; per pair the
+  count, r ends, then s ends.
 """
 
 from __future__ import annotations
@@ -125,14 +125,6 @@ class ExtendedPpmParams:
         _assign(self, community_sizes=sizes, target_degrees=k, omega_out=omega_out,
                 omega_diag=omega_diag, _model=DcsbmParams(np.repeat(np.arange(b), sizes), k, omega))
 
-    @property
-    def B(self) -> int:
-        return self.community_sizes.size
-
-    @property
-    def n(self) -> int:
-        return self._model.n
-
     def to_dcsbm(self) -> DcsbmParams:
         """The block model of this planted partition, built with it."""
         return self._model
@@ -147,8 +139,8 @@ def _field(name: str, value, dtype, ndim=None, n=None):
     takes integers only. Anything else (booleans, strings, ragged lists,
     values beyond int64) raises ValidationError naming the field. With
     ``ndim`` 1 a nested list is an error too, and a number is a one-entry
-    list, or ``n`` entries when ``n`` is given. An array of ``dtype`` is kept,
-    not copied.
+    list, or ``n`` entries when ``n`` is given. An array comes back as a
+    read-only copy: later changes to the caller's array do not reach it.
     """
     if isinstance(value, np.ndarray) and value.dtype != object:
         # by dtype: a check per entry costs about 1 s per million entries
@@ -164,11 +156,12 @@ def _field(name: str, value, dtype, ndim=None, n=None):
     if ndim == 1 and cells.ndim > 1:
         raise ValidationError(f"{name} must be a flat list, not nested")
     try:
-        values = cells.astype(dtype, copy=False)
+        values = cells.astype(dtype)  # a copy even of a ``dtype`` array
     except OverflowError as exc:
         raise ValidationError(f"{name}: {exc}") from exc
     if ndim == 1 and values.ndim == 0:
         values = np.full(1 if n is None else n, values)
+    values.flags.writeable = False
     return values.item() if ndim == 0 else values
 
 
@@ -177,27 +170,20 @@ def _assign(params, **fields) -> None:
         object.__setattr__(params, name, value)
 
 
-def sample_dcsbm(params: DcsbmParams, seed: int, method: str = "auto") -> Graph:
+def sample_dcsbm(params: DcsbmParams, seed: int) -> Graph:
     """Draw one graph from the block model.
 
-    method: "exact", "fast", or "auto" (exact up to 2000 nodes). Same seed,
-    same method, same graph, bit for bit. "fast" costs one Poisson draw per
-    block pair, then endpoint draws per edge, in the order the module
-    docstring gives as its seed contract. A Poisson mean that is not finite
-    or beyond numpy's range raises ValidationError before any draw; every
-    other value was checked when ``params`` was built.
+    Same seed, same graph, bit for bit. Up to 2000 nodes it takes one
+    Poisson draw per node pair; above that, one per block pair and then
+    endpoint draws per edge, in the order the module docstring gives as its
+    seed contract. A Poisson mean that is not finite or beyond numpy's range
+    raises ValidationError before any draw; every other value was checked
+    when ``params`` was built.
     """
-    if method == "auto":
-        method = "exact" if params.n <= _EXACT_LIMIT else "fast"
-    if method not in ("exact", "fast"):
-        raise ValidationError(f"unknown sampling method {method!r}")
-    if method == "exact" and params.n > _EXACT_LIMIT:
-        raise ValidationError(
-            f"exact sampling is quadratic and capped at {_EXACT_LIMIT} nodes")
     rng = make_rng(seed)
     # an overflowing mean comes out inf or nan, and _checked rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        return (_sample_exact if method == "exact" else _sample_fast)(params, rng)
+        return (_sample_exact if params.n <= _EXACT_LIMIT else _sample_fast)(params, rng)
 
 
 def _checked(means: np.ndarray) -> np.ndarray:
@@ -244,7 +230,7 @@ def _sample_fast(params: DcsbmParams, rng: np.random.Generator) -> Graph:
 
 
 def sample_extended_ppm(params: ExtendedPpmParams, seed: int) -> tuple[Graph, Partition]:
-    """Draw a planted-partition graph and its ground truth (fast route above 2000 nodes)."""
+    """Draw a planted-partition graph and its ground truth (pair by pair up to 2000 nodes)."""
     model = params.to_dcsbm()
     graph = sample_dcsbm(model, seed)
     return graph, partition_stats(graph, model.block_assignment)

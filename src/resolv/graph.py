@@ -130,7 +130,7 @@ def _merge_keys(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _int64(values, what: str) -> np.ndarray:
-    """``values`` as a flat int64 array; non-integral numbers are rejected."""
+    """``values`` as a flat int64 array (a view of int64 input); non-integers are rejected."""
     a = np.asarray(values).reshape(-1)
     if a.dtype.kind not in "biu":
         if a.dtype.kind != "f" or not (np.isfinite(a) & (a == np.trunc(a))).all():
@@ -221,9 +221,9 @@ def write_communities(assignment: np.ndarray, path, labels: Sequence[str] | None
     """Write a node-to-community file from a per-node integer array.
 
     Node i is written as ``labels[i]``, or as i when there are no labels; a
-    label list of another length is rejected before the file opens.
+    non-integer id or a label list of another length fails before the file opens.
     """
-    comms = np.asarray(assignment, dtype=np.int64).tolist()
+    comms = _int64(assignment, "community ids").tolist()
     if labels is not None and len(labels) != len(comms):
         raise ValidationError(f"{len(labels)} labels for {len(comms)} assigned nodes")
     rows = zip(map(str, range(len(comms))) if labels is None else labels, comms)
@@ -238,7 +238,7 @@ def induced_subgraph(graph: Graph, nodes) -> tuple[Graph, dict[int, int]]:
     Nodes are renumbered 0..len(nodes)-1 in increasing original id; the
     returned dict maps old ids to new. Self-loops on kept nodes survive.
     """
-    idx = np.asarray(list(nodes), dtype=np.int64)
+    idx = _int64(list(nodes), "node ids")
     if idx.size == 0:
         raise ValidationError("induced subgraph needs a nonempty node set")
     if idx.min() < 0 or idx.max() >= graph.n:
@@ -253,14 +253,13 @@ def induced_subgraph(graph: Graph, nodes) -> tuple[Graph, dict[int, int]]:
 def split_communities(graph: Graph, assignment) -> Iterator[tuple[np.ndarray, Graph]]:
     """Yield (member ids, induced subgraph) for communities 0, 1, ..., B-1.
 
-    ``assignment`` holds a nonnegative community id per node. Each community
-    is renumbered as by ``induced_subgraph``, members in increasing original
-    id; one sort of the nodes and one of the intra-community edges serve all.
+    ``assignment`` holds a nonnegative integer id per node. Each community is
+    renumbered as by ``induced_subgraph``, members in increasing original id;
+    one sort of the nodes and one of the intra-community edges serve all.
     """
-    a = np.asarray(assignment, dtype=np.int64).reshape(-1)
-    if a.size != graph.n:
-        raise ValidationError(
-            f"assignment covers {a.size} nodes but the graph has {graph.n}")
+    a = _assignment(graph, assignment)
+    if a.min(initial=0) < 0:
+        raise ValidationError("community ids must be nonnegative")
     order = np.argsort(a, kind="stable")
     size = np.bincount(a)
     node_end = np.cumsum(size)
@@ -324,15 +323,12 @@ class Partition:
 def partition_stats(graph: Graph, assignment) -> Partition:
     """Compute all per-community counts for ``assignment`` in one pass.
 
-    Labels may be arbitrary integers; they are relabeled to dense ids
-    0..B-1 in increasing label order. The bookkeeping identities
+    Labels may be arbitrary integers, negative ones too; they are relabeled
+    to dense ids 0..B-1 in increasing label order. The bookkeeping identities
     sum(m_r) + sum(m_rs) == m and sum(kappa_r) == 2m are asserted on
     every call.
     """
-    a = np.asarray(assignment, dtype=np.int64).reshape(-1)
-    if a.size != graph.n:
-        raise ValidationError(
-            f"assignment covers {a.size} nodes but the graph has {graph.n}")
+    a = _assignment(graph, assignment)
     labels, dense = np.unique(a, return_inverse=True)
     B = int(labels.size)
     cu = dense[graph.edge_u]
@@ -351,6 +347,14 @@ def partition_stats(graph: Graph, assignment) -> Partition:
     assert int(p.m_r.sum()) + int(p._cross[2].sum()) == graph.m
     assert int(p.kappa_r.sum()) == 2 * graph.m
     return p
+
+
+def _assignment(graph: Graph, assignment) -> np.ndarray:
+    """``assignment`` as an int64 array of one integer id per node of ``graph``."""
+    a = _int64(assignment, "community ids")
+    if a.size != graph.n:
+        raise ValidationError(f"assignment covers {a.size} nodes but the graph has {graph.n}")
+    return a
 
 
 def _check_partition(graph: Graph, partition: Partition, task: str) -> None:

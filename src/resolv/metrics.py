@@ -77,8 +77,6 @@ def nmi(left: Mapping, right: Mapping) -> float:
     pj = table.col_totals / n
     h_left = float(-np.sum(pi * np.log(pi, where=pi > 0, out=np.zeros_like(pi))))
     h_right = float(-np.sum(pj * np.log(pj, where=pj > 0, out=np.zeros_like(pj))))
-    if h_left == 0.0 and h_right == 0.0:
-        return 1.0
     pij = counts / n
     outer = pi[:, None] * pj[None, :]
     nz = pij > 0

@@ -399,6 +399,10 @@ def negative_seed(command, *extra):
     return make_argv
 
 
+def raw_config(value):
+    return lambda tmp_path: ["generate", "--config", write_config(tmp_path, value)]
+
+
 def config(model, **fields):
     return lambda tmp_path: ["generate", "--config",
                              write_config(tmp_path, {**model, **fields})]
@@ -445,6 +449,10 @@ def config(model, **fields):
     (config(EPPM, community_sizes=[2 ** 62, 2 ** 62]), 3),
     (config(EPPM, community_sizes=[2 ** 62], omega_diag=[4.0]), 3),
     (config({"model": "er", "m": 0}, n=10 ** 10), 3),
+    # a config that parses as JSON but is not an object
+    (raw_config([]), 3),
+    (raw_config("er"), 3),
+    (raw_config(3), 3),
 ], ids=["edges-not-utf8", "truth-not-utf8", "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
         "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
@@ -453,7 +461,8 @@ def config(model, **fields):
         "nested-sizes", "nested-omega-diag", "detect-negative-seed",
         "multiscale-negative-seed", "sweep-negative-seed", "generate-negative-seed",
         "clique-negative-seed", "negative-size-scalar", "negative-size-list", "model-list",
-        "sizes-past-int64", "size-past-limit", "er-past-limit"])
+        "sizes-past-int64", "size-past-limit", "er-past-limit", "config-list",
+        "config-string", "config-number"])
 def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
     assert "internal error" not in capsys.readouterr().err

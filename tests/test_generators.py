@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import resolv as rv
+from resolv.generators import _sample_exact, _sample_fast
+from resolv.seeding import make_rng
 
 
 def serialize(g: rv.Graph) -> bytes:
@@ -27,10 +29,11 @@ def two_block_params(omega_in=5.0, omega_out=0.2, size=50, k=10.0) -> rv.DcsbmPa
 
 def test_sample_is_deterministic_per_seed():
     params = two_block_params()
-    for method in ("exact", "fast"):
-        a = rv.sample_dcsbm(params, seed=9, method=method)
-        b = rv.sample_dcsbm(params, seed=9, method=method)
-        c = rv.sample_dcsbm(params, seed=10, method=method)
+    # each route as sample_dcsbm runs it: a generator from make_rng(seed)
+    for sample in (_sample_exact, _sample_fast):
+        a = sample(params, make_rng(9))
+        b = sample(params, make_rng(9))
+        c = sample(params, make_rng(10))
         assert serialize(a) == serialize(b)
         assert serialize(a) != serialize(c)
 
@@ -67,11 +70,11 @@ def test_fast_and_exact_paths_agree_in_distribution():
     truth = np.repeat([0, 1], 30)
     samples = 400
     means = {}
-    for method in ("exact", "fast"):
+    for method, sample in (("exact", _sample_exact), ("fast", _sample_fast)):
         inter = np.empty(samples)
         total = np.empty(samples)
         for s in range(samples):
-            g = rv.sample_dcsbm(params, seed=31_000 + s, method=method)
+            g = sample(params, make_rng(31_000 + s))
             total[s] = g.m
             inter[s] = rv.partition_stats(g, truth).m_rs(0, 1)
         means[method] = (total.mean(), inter.mean())
@@ -104,7 +107,7 @@ def test_fast_and_exact_paths_agree_in_distribution():
 ], ids=["empty-block", "zero-omega", "large-mean"])
 def test_pinned_fast_samples(params, digest):
     import hashlib
-    g = rv.sample_dcsbm(params, seed=3, method="fast")
+    g = _sample_fast(params, make_rng(3))  # sample_dcsbm's draws at seed 3
     blob = g.edge_u.tobytes() + g.edge_v.tobytes() + g.edge_w.tobytes()
     assert hashlib.sha256(blob).hexdigest() == digest
 
@@ -149,8 +152,7 @@ def test_zero_density_gives_empty_graph():
     params = rv.DcsbmParams(block_assignment=np.zeros(5, dtype=int),
                             target_degrees=np.full(5, 3.0),
                             omega=np.zeros((1, 1)))
-    for method in ("auto", "fast"):
-        g = rv.sample_dcsbm(params, seed=0, method=method)
+    for g in (rv.sample_dcsbm(params, seed=0), _sample_fast(params, make_rng(0))):
         assert g.m == 0
         assert g.n == 5
         assert g.degrees.tolist() == [0] * 5
@@ -165,11 +167,20 @@ def test_dcsbm_validation_errors():
                        np.array([[1.0, 0.2], [0.3, 1.0]]))
     with pytest.raises(rv.ValidationError):
         rv.DcsbmParams(np.repeat([0, 2], 50), good.target_degrees, good.omega)
-    with pytest.raises(rv.ValidationError):
-        rv.sample_dcsbm(good, seed=0, method="typo")
-    big = rv.DcsbmParams(np.zeros(2001, dtype=int), np.full(2001, 2.0), np.ones((1, 1)))
-    with pytest.raises(rv.ValidationError):
-        rv.sample_dcsbm(big, seed=0, method="exact")
+
+
+def test_params_own_read_only_fields():
+    # a caller that changes its arrays after construction changes no checked model
+    k, omega = np.array([1.0, 2.0, 3.0]), np.array([[3.0, 0.5], [0.5, 2.0]])
+    params = rv.DcsbmParams([0, 0, 1], k, omega)
+    before = serialize(rv.sample_dcsbm(params, 5))
+    k[0], omega[0, 1] = -1.0, float("nan")
+    assert serialize(rv.sample_dcsbm(params, 5)) == before
+    ppm = rv.ExtendedPpmParams([2, 3], 4.0, 0.2, [1.0, 2.0])
+    for array in (params.block_assignment, params.target_degrees, params.omega,
+                  ppm.community_sizes, ppm.target_degrees, ppm.omega_diag):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_extended_ppm_requires_assortative_diagonals():

@@ -5,6 +5,7 @@ import pytest
 
 import resolv as rv
 from conftest import random_multigraph
+from resolv.graph import _int64, split_communities
 
 
 def test_duplicate_lines_accumulate_multiplicity(tmp_path):
@@ -98,6 +99,41 @@ def test_graph_construction_rejects(n, edges, reason):
         rv.Graph.from_arrays(n, np.array(u), np.array(v), np.array(w))
 
 
+def test_from_arrays_rejects_unequal_lengths():
+    with pytest.raises(rv.ValidationError, match="^edge arrays differ in length$"):
+        rv.Graph.from_arrays(3, [0], [1, 2])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, path: rv.write_communities([0.5, 1.9, 2], path), "community ids must be integers"),
+    (lambda g, path: rv.write_communities(["a", "b"], path), "community ids must be integers"),
+    (lambda g, path: rv.induced_subgraph(g, [0.7, 1.2]), "node ids must be integers"),
+    (lambda g, path: rv.partition_stats(g, [0.5] * 6), "community ids must be integers"),
+    (lambda g, path: rv.partition_stats(g, [0, 1, 0]),
+     "assignment covers 3 nodes but the graph has 6"),
+    (lambda g, path: next(split_communities(g, [0, 0, 0, 1, 1, 1.5])),
+     "community ids must be integers"),
+    (lambda g, path: next(split_communities(g, [0, 1, 0])),
+     "assignment covers 3 nodes but the graph has 6"),
+    (lambda g, path: next(split_communities(g, [-1, 0, 0, 0, 0, 0])),
+     "community ids must be nonnegative"),
+], ids=["write-fractional", "write-strings", "induced-fractional", "stats-fractional",
+        "stats-length", "split-fractional", "split-length", "split-negative"])
+def test_id_arrays_take_integers_only(two_triangles, tmp_path, call, message):
+    # integral floats such as 2.0 pass, as in Graph.from_arrays; 0.5 is not truncated
+    path = tmp_path / "c.communities"
+    with pytest.raises(rv.ValidationError, match=f"^{message}$"):
+        call(two_triangles, path)
+    assert not path.exists()
+
+
+def test_id_arrays_keep_int64_and_negative_labels(two_triangles):
+    ids = np.arange(6, dtype=np.int64)
+    assert np.shares_memory(_int64(ids, "ids"), ids)  # a dtype check, not a copy
+    # partition_stats relabels any integers; only split_communities needs ids >= 0
+    assert rv.partition_stats(two_triangles, [-2, -2, -2, 4, 4, 4]).B == 2
+
+
 def test_induced_subgraph_drops_boundary(two_triangles):
     sub, mapping = rv.induced_subgraph(two_triangles, [0, 1, 2])
     assert sub.n == 3
@@ -165,6 +201,12 @@ def test_m_rs_rejects_same_community(two_triangles):
     p = rv.partition_stats(two_triangles, [0, 0, 0, 1, 1, 1])
     with pytest.raises(rv.ValidationError):
         p.m_rs(1, 1)
+
+
+def test_m_rs_rejects_out_of_range(two_triangles):
+    p = rv.partition_stats(two_triangles, [0, 0, 0, 1, 1, 1])
+    with pytest.raises(rv.ValidationError, match="^community id out of range$"):
+        p.m_rs(0, p.B)
 
 
 def test_communities_file_roundtrip(tmp_path):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import resolv as rv
+from resolv.generators import _sample_fast
 from resolv.graph import split_communities
 from resolv.modularity import _aggregate, _csr
+from resolv.seeding import make_rng
 from oracles import canonical_multigraph, community_counts, csr_rows, sample_fast_reference
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -219,7 +221,7 @@ def _boundary_case():
 @example(*_boundary_case())
 def test_fast_sampler_matches_per_pair_reference(params, seed):
     # same seed, same random stream: edge for edge, not just in distribution
-    g = rv.sample_dcsbm(params, seed, method="fast")
+    g = _sample_fast(params, make_rng(seed))  # sample_dcsbm's draws, on the fast route
     pairs, _ = canonical_multigraph(params.n, sample_fast_reference(params, seed))
     assert g.n == params.n
     assert list(g.edges()) == sorted((a, b, c) for (a, b), c in pairs.items())

@@ -109,6 +109,8 @@ def test_f_measure_top_k_validation():
     reference = {0: 0, 1: 1}
     with pytest.raises(rv.ValidationError):
         rv.f_measure(detected, reference, top_k=3)
+    with pytest.raises(rv.ValidationError, match="^top_k must be >= 1$"):
+        rv.f_measure(detected, reference, top_k=0)
     # top_k ranks the reference's communities by first appearance
     assert rv.f_measure(detected, reference, top_k=1) == 0.5
     assert rv.f_measure(detected, reference, top_k=2) == 1.0

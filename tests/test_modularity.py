@@ -40,6 +40,12 @@ def test_delta_merge_two_triangles(two_triangles):
     assert rv.delta_merge(p, 0, 1, 1.0) == pytest.approx(-5.0 / 14.0, abs=1e-12)
 
 
+def test_delta_merge_rejects_one_community(two_triangles):
+    p = rv.partition_stats(two_triangles, [0, 0, 0, 1, 1, 1])
+    with pytest.raises(rv.ValidationError, match="^merge needs two distinct communities$"):
+        rv.delta_merge(p, 0, 0, 1.0)
+
+
 def test_delta_merge_consistent_with_recompute():
     rng = np.random.default_rng(33)
     for trial in range(40):

@@ -1,4 +1,5 @@
-"""The README's library quick start runs and prints what its comments promise."""
+"""The README's examples run and do what the README promises: the library quick
+start, every `generate` config and the install commands."""
 
 from __future__ import annotations
 
@@ -8,10 +9,22 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import resolv as rv
 from resolv.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def generate_configs() -> list[dict]:
+    """Every model config in the README's json block, in order."""
+    block = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    decoder, configs, at = json.JSONDecoder(), [], 0
+    while block[at:].strip():
+        config, at = decoder.raw_decode(block, block.index("{", at))
+        configs.append(config)
+    return configs
 
 
 def test_quick_start_prints_promised_values():
@@ -49,3 +62,25 @@ def test_library_params_take_the_cli_dcsbm_example(tmp_path):
                             config["omega"])
     rv.write_edge_list(rv.sample_dcsbm(params, seed=7), tmp_path / "lib.edges")
     assert (tmp_path / "lib.edges").read_bytes() == (tmp_path / "g.edges").read_bytes()
+
+
+@pytest.mark.parametrize("config", generate_configs(), ids=lambda c: c["model"])
+def test_generate_runs_every_readme_config(tmp_path, config):
+    # the files the CLI section promises: a communities file when the model
+    # has ground truth
+    (tmp_path / "model.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["generate", "--config", str(tmp_path / "model.json"), "--seed", "7",
+                 "--out", str(tmp_path / "run")]) == 0
+    has_truth = config["model"] in ("plateau", "dcsbm", "extended_ppm")
+    for ext, promised in (("edges", True), ("communities", has_truth), ("provenance.json", True)):
+        path = tmp_path / f"run.{ext}"
+        assert path.exists() == promised
+        assert not promised or path.stat().st_size > 0
+
+
+def test_tests_section_installs_as_the_install_section_does():
+    text = README.read_text(encoding="utf-8")
+    install, tests = (re.search(rf"^## {name}\n(.*?)(?=^## |\Z)", text, re.S | re.M).group(1)
+                      for name in ("Install", "Tests"))
+    commands = [line.split("#")[0].strip() for line in tests.splitlines() if "pip install" in line]
+    assert commands and all(command in install for command in commands)

@@ -68,6 +68,15 @@ def test_mle_gamma_zero_density_collapses():
     assert rv.mle_gamma(0.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("omega_in, message", [
+    (float("nan"), "densities must be finite"),
+    (-1.0, "densities must be nonnegative"),
+], ids=["nan", "negative"])
+def test_mle_gamma_rejects_invalid_densities(omega_in, message):
+    with pytest.raises(rv.ValidationError, match=f"^{message}$"):
+        rv.mle_gamma(omega_in, 1.0)
+
+
 def test_mle_gamma_containment_sample():
     rng = np.random.default_rng(100)
     for _ in range(200):
@@ -95,6 +104,15 @@ def test_fit_ppm_no_inter_edges_flagged_degenerate():
     fit = rv.fit_ppm(g, p)
     assert fit.gamma_mle == 0.0
     assert fit.degenerate == "no inter-community edges"
+
+
+def test_fit_ppm_no_inter_degree_flagged_degenerate():
+    # a triangle and an isolated node in its own community: kappa = (6, 0), so
+    # the expected internal count b equals 2m and no between-density exists
+    g = rv.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    fit = rv.fit_ppm(g, rv.partition_stats(g, [0, 0, 0, 1]))
+    assert (fit.omega_in, fit.omega_out, fit.gamma_mle) == (1.0, 0.0, 0.0)
+    assert fit.degenerate == "no inter-community degree"
 
 
 def test_fit_ppm_requires_two_communities(two_k6_bridge):
