@@ -130,11 +130,17 @@ def _merge_keys(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _int64(values, what: str) -> np.ndarray:
-    """``values`` as a flat int64 array (a view of int64 input); non-integers are rejected."""
+    """``values`` as a flat int64 array (a view of int64 input).
+
+    Non-integers are rejected, and so are unsigned or integral float values
+    outside the int64 range, which the cast would otherwise wrap.
+    """
     a = np.asarray(values).reshape(-1)
     if a.dtype.kind not in "biu":
         if a.dtype.kind != "f" or not (np.isfinite(a) & (a == np.trunc(a))).all():
             raise ValidationError(f"{what} must be integers")
+    if a.dtype.kind in "uf" and a.size and not -2**63 <= int(a.min()) <= int(a.max()) < 2**63:
+        raise ValidationError(f"{what} must fit in int64")
     return a.astype(np.int64, copy=False)
 
 

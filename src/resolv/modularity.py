@@ -15,15 +15,19 @@ phase is a FIFO work queue: every node is queued once, and a node that moves
 queues its neighbours outside its new community again. Moves elsewhere also
 shift the gamma * kappa penalty of nodes that are not queued, so the queue
 alone certifies nothing; a final full pass over the original graph in which
-no node moves certifies local optimality. Multiplicities and self-loops are
-honored throughout: a self-loop stays internal wherever its node goes, so it
-never enters a move gain, but it does count in Q and in aggregated
-super-node loops.
+no node moves certifies local optimality. On levels above _SKIP_LIMIT nodes
+a phase first decides in numpy which nodes could move from its starting
+state, and skips the nodes its queue would pop before the first of them,
+so "no node moves" is then decided without a Python visit. Multiplicities
+and self-loops are honored throughout: a self-loop stays internal wherever
+its node goes, so it never enters a move gain, but it does count in Q and
+in aggregated super-node loops.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
@@ -36,6 +40,11 @@ from .seeding import make_rng
 _KL_LIMIT = 32
 # minimum Q improvement for a move, merge or chain to count
 _TOL = 1e-12
+# levels with more nodes than this skip each phase's idle prefix; on smaller
+# ones the numpy movability pass (~60 us) costs more than the visits it saves
+_SKIP_LIMIT = 64
+# CSR entries per chunk of the movability pass: ~0.4 MiB of temporaries
+_CHUNK = 4096
 
 
 def modularity(graph: Graph, partition: Partition, gamma: float) -> float:
@@ -248,6 +257,13 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     ends when the queue is empty. Returns the per-node community array and
     whether any move was accepted.
 
+    Every node the queue pops before its first move sees the starting state,
+    so on levels above _SKIP_LIMIT nodes ``_movable`` marks the nodes that
+    state lets move, and the queue starts at the first of them in the
+    permutation; the nodes before it count as popped. A phase with no
+    movable node returns right after drawing its permutation. The skip
+    changes neither the result nor the random stream.
+
     The per-node state lives in Python lists, since scalar indexing into
     numpy arrays dominates this loop. The CSR stays in numpy and each visit
     converts only its own slice: lists of the whole CSR took a 250k-edge
@@ -257,20 +273,35 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     n, indptr, nbr, wgt, degrees = level
     # aggregation keeps every edge, so each level has the original graph's m
     m = float(degrees.sum()) / 2.0
-    start = indptr.tolist()
-    k = degrees.tolist()
-    comm_arr = np.asarray(init, dtype=np.int64)
-    comm_size = np.bincount(comm_arr, minlength=n).tolist()
-    comm_kappa = np.bincount(comm_arr, weights=degrees, minlength=n).tolist()
-    comm = comm_arr.tolist()
-    free = [c for c, size in enumerate(comm_size) if size == 0]  # sorted, a valid heap
     coef = gamma / (2.0 * m)
     min_gain = _TOL * m  # gains below are scaled by m relative to Q
+    comm_arr = np.asarray(init, dtype=np.int64)
+    sizes = np.bincount(comm_arr, minlength=n)
+    kappas = np.bincount(comm_arr, weights=degrees, minlength=n)
+    order = rng.permutation(n)
+    start = indptr.tolist()
+    queued = [True] * n
+    if n > _SKIP_LIMIT:
+        # every node the queue pops before its first move sees this starting state
+        movable = _movable(level, start, comm_arr, sizes, kappas, coef, min_gain)[order]
+        skip = int(movable.argmax())
+        if not movable[skip]:
+            return comm_arr, False
+        prefix = np.ones(n, dtype=bool)
+        prefix[order[:skip]] = False
+        queued = prefix.tolist()
+        order = order[skip:]
+    k = degrees.tolist()
+    comm_size = sizes.tolist()
+    comm_kappa = kappas.tolist()
+    comm = comm_arr.tolist()
+    free = [c for c, size in enumerate(comm_size) if size == 0]  # sorted, a valid heap
 
     q = _scratch_q(level, comm_arr, gamma) if check else None  # tracked only to be checked
     any_move = False
-    queue = deque(rng.permutation(n).tolist())
-    queued = [True] * n
+    queue = deque(order.tolist())
+    # held through the loop, these raised a 250k-edge detect's peak RSS by ~1 MiB
+    del order, sizes, kappas
     while queue:
         i = queue.popleft()
         queued[i] = False
@@ -322,6 +353,57 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
         else:
             comm_kappa[ci] += ki
     return np.asarray(comm, dtype=np.int64), any_move
+
+
+def _movable(level, start, comm, sizes, kappas, coef, min_gain) -> np.ndarray:
+    """Per node of ``level``: would ``_local_moving`` move it, visited first?
+
+    ``start`` is the level's indptr as a list, ``comm`` the phase's starting
+    assignment, ``sizes`` and ``kappas`` its per-community node counts and
+    degree sums. A node is movable when a linked community other than its
+    own, or detaching into an empty one while it has company, beats staying
+    by more than ``min_gain``: the queue's accept rule, with its float
+    operations in the same order. Link weights are sums of integer
+    multiplicities, hence exact in any order. The CSR is read in row chunks
+    of about _CHUNK entries.
+    """
+    n, indptr, nbr, wgt, degrees = level
+    alone = sizes.max() == 1
+    free = sizes.min() == 0
+    movable = np.zeros(n, dtype=bool)
+    r0 = 0
+    while r0 < n:
+        r1 = max(bisect_right(start, start[r0] + _CHUNK) - 1, r0 + 1)
+        lo, hi = start[r0], start[r1]
+        row = np.arange(r1 - r0).repeat(indptr[r0 + 1:r1 + 1] - indptr[r0:r1])
+        c = comm[nbr[lo:hi]]
+        links = wgt[lo:hi]
+        if not alone:
+            # one group per (row, neighbour community): sort, then sum each run.
+            # With every node alone the neighbours' communities are distinct,
+            # so each entry is its own group; that sort dominated a sweep's
+            # peak RSS growth.
+            key = row * n + c
+            by_key = key.argsort(kind="stable")
+            key = key[by_key]
+            first = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            first = first.nonzero()[0]
+            links = np.add.reduceat(links[by_key], first)
+            row = row[first]  # the sort keeps the rows in order
+            c = key[first] - row * n
+        ci, ki = comm[r0:r1], degrees[r0:r1]
+        cki = coef * ki
+        own = np.bincount(row, weights=links * (c == ci[row]), minlength=r1 - r0)
+        threshold = (own - cki * (kappas[ci] - ki)) + min_gain
+        # the own community's group never passes: next to its score the
+        # threshold drops cki * ki >= 0 from the penalty and adds min_gain >= 0
+        gain = links - cki[row] * kappas[c]
+        movable[r0:r1] = np.bincount(row, weights=gain > threshold[row], minlength=r1 - r0) > 0
+        if free:
+            movable[r0:r1] |= (sizes[ci] > 1) & (0.0 > threshold)
+        r0 = r1
+    return movable
 
 
 def _csr(graph: Graph):

@@ -251,3 +251,47 @@ def chain_refine_direct(n: int, edges, gamma: float, tol: float, assignment):
             comm, q, improved = best, best_q, True
         else:
             return comm, improved
+
+
+def movable_direct(n: int, edges, gamma: float, assignment, min_gain: float):
+    """Each node's best single move from ``assignment``, judged alone.
+
+    For node i in community ci, with every community's degree sum taken
+    from ``assignment`` and i's own degree taken out of ci, staying scores
+    links(i, ci) - coef * k_i * kappa_ci, and a move into a linked
+    community c scores links(i, c) - coef * k_i * kappa_c, where
+    coef = gamma / 2m and links are recounted from the (u, v, multiplicity)
+    edge list, self-loops excluded. Detaching into the lowest empty id
+    scores 0 and is open only when i has company and some id in 0..n-1 is
+    empty. The best score wins, ties going to the smaller id; it is taken
+    when it beats staying by more than ``min_gain``. Returns the target per
+    node, or None where the node stays.
+    """
+    m = sum(w for _, _, w in edges)
+    degree = [0] * n
+    for u, v, w in edges:
+        degree[u] += w
+        degree[v] += w
+    coef = gamma / (2.0 * m)
+    kappa = [0.0] * n
+    size = [0] * n
+    for v in range(n):
+        kappa[assignment[v]] += degree[v]
+        size[assignment[v]] += 1
+    empty = [c for c in range(n) if size[c] == 0]
+    targets = []
+    for i in range(n):
+        ci = assignment[i]
+        ki = float(degree[i])
+        links: dict = {}
+        for a, b, w in edges:
+            if a != b and i in (a, b):
+                c = assignment[b if a == i else a]
+                links[c] = links.get(c, 0.0) + w
+        stay = links.get(ci, 0.0) - coef * ki * (kappa[ci] - ki)
+        options = [(links[c] - coef * ki * kappa[c], c) for c in links if c != ci]
+        if size[ci] > 1 and empty:
+            options.append((0.0, empty[0]))
+        best = max(options, key=lambda o: (o[0], -o[1]), default=None)
+        targets.append(best[1] if best and best[0] > stay + min_gain else None)
+    return targets

@@ -117,8 +117,20 @@ def test_from_arrays_rejects_unequal_lengths():
      "assignment covers 3 nodes but the graph has 6"),
     (lambda g, path: next(split_communities(g, [-1, 0, 0, 0, 0, 0])),
      "community ids must be nonnegative"),
+    # unsigned and float ids beyond int64 used to wrap or warn in the cast
+    (lambda g, path: rv.write_communities(np.array([2**63, 1], dtype=np.uint64), path),
+     "community ids must fit in int64"),
+    (lambda g, path: rv.partition_stats(g, np.array([2**63, 2**63 + 1, 0, 0, 0, 0],
+                                                    dtype=np.uint64)),
+     "community ids must fit in int64"),
+    (lambda g, path: next(split_communities(g, np.array([0, 0, 0, 1, 1, 2**64 - 1],
+                                                        dtype=np.uint64))),
+     "community ids must fit in int64"),
+    (lambda g, path: rv.partition_stats(g, [0.0] * 5 + [2.0**63]),
+     "community ids must fit in int64"),
 ], ids=["write-fractional", "write-strings", "induced-fractional", "stats-fractional",
-        "stats-length", "split-fractional", "split-length", "split-negative"])
+        "stats-length", "split-fractional", "split-length", "split-negative",
+        "write-uint64-wraps", "stats-uint64-wraps", "split-uint64-wraps", "stats-float-overflows"])
 def test_id_arrays_take_integers_only(two_triangles, tmp_path, call, message):
     # integral floats such as 2.0 pass, as in Graph.from_arrays; 0.5 is not truncated
     path = tmp_path / "c.communities"
@@ -132,6 +144,9 @@ def test_id_arrays_keep_int64_and_negative_labels(two_triangles):
     assert np.shares_memory(_int64(ids, "ids"), ids)  # a dtype check, not a copy
     # partition_stats relabels any integers; only split_communities needs ids >= 0
     assert rv.partition_stats(two_triangles, [-2, -2, -2, 4, 4, 4]).B == 2
+    # unsigned ids below 2**63 keep their order
+    big = np.array([2**63 - 1] * 3 + [2**62] * 3, dtype=np.uint64)
+    assert rv.partition_stats(two_triangles, big).assignment.tolist() == [1, 1, 1, 0, 0, 0]
 
 
 def test_induced_subgraph_drops_boundary(two_triangles):

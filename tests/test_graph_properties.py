@@ -1,9 +1,10 @@
-"""Property tests: graph construction and partition tallies against the
-plain-Python oracles in ``oracles.py``, plus exact identities of the merge
-gain and the agreement scores."""
+"""Property tests: graph construction, partition tallies and the maximizer's
+movability pass against the plain-Python oracles in ``oracles.py``, plus
+exact identities of the merge gain and the agreement scores."""
 
 from __future__ import annotations
 
+import importlib
 import random
 import tempfile
 from pathlib import Path
@@ -14,10 +15,12 @@ import pytest
 import resolv as rv
 from resolv.generators import _sample_fast
 from resolv.graph import split_communities
-from resolv.modularity import _aggregate, _csr
+from resolv.modularity import _TOL, _aggregate, _csr, _local_moving, _movable
 from resolv.seeding import make_rng
-from oracles import canonical_multigraph, community_counts, csr_rows, sample_fast_reference
+from oracles import (canonical_multigraph, community_counts, csr_rows, movable_direct,
+                     sample_fast_reference)
 
+_modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -80,6 +83,64 @@ def test_level_builders_match_the_graph_path(case, data):
         # check mode reads a level's loop weight as m - sum(wgt) / 2
         loops = int(g.edge_w[g.edge_u == g.edge_v].sum())
         assert level[4].sum() / 2 - level[3].sum() / 2 == loops
+
+
+def assert_movable_matches_oracle(g, init, gamma):
+    # the numpy pass must name exactly the nodes the queue would move if it
+    # visited them first; with no tolerance exact ties are common, so > and
+    # >= differ
+    level = _csr(g)
+    sizes = np.bincount(init, minlength=g.n)
+    kappas = np.bincount(init, weights=level[4], minlength=g.n)
+    for min_gain in (_TOL * g.m, 0.0):
+        got = _movable(level, level[1].tolist(), init, sizes, kappas, gamma / (2.0 * g.m), min_gain)
+        want = movable_direct(g.n, list(g.edges()), gamma, init.tolist(), min_gain)
+        assert got.tolist() == [t is not None for t in want]
+
+
+@pytest.mark.parametrize("edges, init, gamma", [
+    # at gamma 2 both nodes of one edge gain exactly nothing by joining the
+    # other's singleton, or by detaching from their pair
+    ([(0, 1)], [0, 1], 2.0),
+    ([(0, 1)], [0, 0], 2.0),
+    # node 0 gains 2 - gamma by joining {1, 2}, while either of its two
+    # links alone would give 1 - gamma
+    ([(0, 1), (0, 2)], [0, 1, 1], 1.5),
+], ids=["join-tie", "detach-tie", "links-summed"])
+def test_movability_pass_on_fixed_cases(edges, init, gamma):
+    g = rv.Graph.from_edges(len(init), edges)
+    assert_movable_matches_oracle(g, np.array(init), gamma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=12, max_edges=30), st.data())
+def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
+    # with the pass on, a phase must give the same assignment, moved flag and
+    # random stream as the plain loop
+    n, edges = case
+    g = rv.Graph.from_edges(n, edges)
+    assume(g.m > 0)
+    level = _csr(g)
+    # ids below n with gaps, as louvain_maximize seeds a cycle's first phase,
+    # or every node alone, as each level starts
+    init = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+                              | st.permutations(range(n))))
+    gamma = data.draw(st.floats(0.05, 60.0))
+    chunk = data.draw(st.sampled_from([1, 2, 5, 4096]), label="chunk")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_modularity, "_CHUNK", chunk)
+        assert_movable_matches_oracle(g, init, gamma)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        runs = []
+        for limit, check in ((float("inf"), False), (0, True)):
+            mp.setattr(_modularity, "_SKIP_LIMIT", limit)
+            rng = make_rng(seed)
+            # the second phase starts where the first ended and is often idle
+            first = _local_moving(level, gamma, rng, check, init)
+            second = _local_moving(level, gamma, rng, check, first[0])
+            runs.append([(a.tolist(), moved) for a, moved in (first, second)]
+                        + [rng.bit_generator.state])
+        assert runs[0] == runs[1]
 
 
 @settings(max_examples=200, deadline=None)

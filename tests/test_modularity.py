@@ -226,6 +226,31 @@ def test_pinned_louvain_outputs():
         "443acc7b8752c0965f532fed8ff6e2ee1bc36abf42276d6343140896eea7d306")
 
 
+def test_pinned_high_gamma_louvain_outputs():
+    # sha256 as in test_pinned_louvain_outputs, at resolutions where most
+    # node-moving phases start with no movable node: the plateau fixture
+    # near singletons, and a 600-node planted graph whose aggregated levels
+    # still hold more than _SKIP_LIMIT nodes. Update only for an announced
+    # change to the partitions.
+    import hashlib
+
+    def digest(parts):
+        h = hashlib.sha256()
+        for p in parts:
+            h.update(p.assignment.tobytes())
+        return h.hexdigest()
+
+    plateau, _ = rv.make_plateau_fixture(0)
+    planted, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
+        np.full(30, 20), np.full(600, 12.0), 0.3, np.full(30, 8.0)), seed=0)
+    assert digest(rv.louvain_maximize(plateau, gamma, seed=s)
+                  for gamma in (12.0, 30.0, 60.0) for s in range(5)) == (
+        "1407ad1000b0066e2a75628071afdb9d853e71d4cda05994711fd5747db78eaf")
+    assert digest(rv.louvain_maximize(planted, gamma, seed=s)
+                  for gamma in (3.0, 8.0) for s in range(3)) == (
+        "e5559e4e2c71cf899c2414b7be94ab32957dec23bc7ea7cb0b7db51329f7529e")
+
+
 def test_modularity_and_louvain_against_networkx():
     # networkx is an independent implementation of both Q(gamma) and Louvain.
     # Q must agree on every partition; our best of seeds 0-9 must reach
