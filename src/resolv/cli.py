@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -142,26 +144,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+# a model's config fields are its builder's parameters, less the seed
+_BUILDERS = {"plateau": make_plateau_fixture, "er": sample_er, "clique": make_clique,
+             "dcsbm": DcsbmParams, "extended_ppm": ExtendedPpmParams}
+
+
 def _build_model(config, seed):
     """Returns (graph, ground-truth assignment or None)."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
-    known = {
-        "plateau": {"model"},
-        "er": {"model", "n", "m"},
-        "clique": {"model", "n"},
-        "dcsbm": {"model", "block_assignment", "target_degrees", "omega"},
-        "extended_ppm": {"model", "community_sizes", "target_degrees",
-                         "omega_out", "omega_diag"},
-    }
     model = config.get("model")
-    if not isinstance(model, str) or model not in known:
+    if not isinstance(model, str) or model not in _BUILDERS:
         raise ValidationError(
-            f"config field 'model' must be one of {sorted(known)}, got {model!r}")
-    extra = set(config) - known[model]
+            f"config field 'model' must be one of {sorted(_BUILDERS)}, got {model!r}")
+    known = {"model", *inspect.signature(_BUILDERS[model]).parameters} - {"seed"}
+    extra = set(config) - known
     if extra:
         raise ValidationError(f"unknown config field(s) for model {model!r}: {sorted(extra)}")
-    missing = known[model] - set(config)
+    missing = known - set(config)
     if missing:
         raise ValidationError(f"missing config field(s) for model {model!r}: {sorted(missing)}")
 
@@ -238,13 +238,14 @@ def cmd_bounds(args) -> int:
     }
     if part.B >= 2:
         fit = fit_ppm(graph, part)
-        report["ppm_fit"] = {"omega_in": fit.omega_in, "omega_out": fit.omega_out,
-                             "gamma_mle": fit.gamma_mle, "degenerate": fit.degenerate}
+        report["ppm_fit"] = dataclasses.asdict(fit)
         report["gamma_mle"] = fit.gamma_mle
         ext = fit_extended_ppm(graph, part)
         report["extended_fit"] = {"omega_out": ext.omega_out,
                                   "omega_diag": ext.omega_diag.tolist()}
-    _emit(report, args.format, args.out, flat=_flatten_bounds(report))
+    # the CSV rows are B² tuples, so JSON output does not build them
+    flat = _flatten_bounds(report) if args.format == "csv" else None
+    _emit(report, args.format, args.out, flat=flat)
     return EXIT_OK
 
 
@@ -321,6 +322,9 @@ def _worker_cap() -> int:
     return cap
 
 
+# what each sweep cell scores; the JSON rows hold their per-gamma means
+_SCORES = ("nmi", "ari", "communities", "q", "seconds")
+
 # (graph, labels, truth_map, grid, master seed), set once in each sweep worker
 _sweep_inputs = None
 
@@ -376,24 +380,16 @@ def cmd_sweep(args) -> int:
     rows = []
     for gi in range(grid.size):
         mine = runs[gi * args.seeds:(gi + 1) * args.seeds]
-        rows.append({
-            "gamma": float(grid[gi]),
-            "nmi": float(np.mean([r["nmi"] for r in mine])),
-            "ari": float(np.mean([r["ari"] for r in mine])),
-            "communities": float(np.mean([r["communities"] for r in mine])),
-            "q": float(np.mean([r["q"] for r in mine])),
-            "seconds": float(np.mean([r["seconds"] for r in mine])),
-        })
+        rows.append({"gamma": float(grid[gi]),
+                     **{k: float(np.mean([r[k] for r in mine])) for k in _SCORES}})
     stable = _stable_interval(rows, args.threshold)
     report = {"grid": grid.tolist(), "seeds": args.seeds, "master_seed": args.seed,
               "threshold": args.threshold, "rows": rows, "stable_interval": stable}
     _emit(report, "json", f"{args.out}.json", flat=None)
     with open(f"{args.out}.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "seed_index", "nmi", "ari", "communities", "q", "seconds"])
-        for r in runs:
-            writer.writerow([r["gamma"], r["seed_index"], r["nmi"], r["ari"],
-                             r["communities"], r["q"], r["seconds"]])
+        writer = csv.DictWriter(fh, ("gamma", "seed_index", *_SCORES))
+        writer.writeheader()
+        writer.writerows(runs)
     if stable:
         print(f"stable interval [{stable['gamma_lo']:.4g}, {stable['gamma_hi']:.4g}] "
               f"({stable['points']} grid points at NMI >= {args.threshold})")

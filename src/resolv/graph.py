@@ -1,8 +1,8 @@
 """Undirected multigraph container, edge-list I/O, and partition statistics.
 
 Every graph comes from one builder, ``Graph.from_arrays``: loaded edge
-lists, sampled graphs, induced subgraphs and the inter-community counts a
-``Partition`` tallies on first read. The Louvain maximizer works on CSR
+lists, sampled graphs, induced subgraphs and the quotient graph a
+``Partition`` builds on first read. The Louvain maximizer works on CSR
 arrays instead: it builds one from its input graph and aggregates each
 level from the previous level's arrays (see ``modularity._csr``).
 
@@ -293,8 +293,9 @@ class Partition:
     m_r        : internal edge count per community (self-loops count once)
     m, n       : edge/node totals of the underlying graph
 
-    The inter-community counts behind ``m_rs`` and ``inter_pairs`` are
-    tallied from the edges between communities on first use.
+    The inter-community counts behind ``m_rs`` and ``inter_pairs`` come from
+    the quotient graph: a ``Graph`` on the B communities built from the edges
+    between them on first use and cached.
     """
 
     assignment: np.ndarray
@@ -307,9 +308,8 @@ class Partition:
     _cross: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @cached_property
-    def _inter(self) -> dict[tuple[int, int], int]:
-        # merged on the B-node quotient: keys come out canonical and sorted
-        return {(r, s): c for r, s, c in Graph.from_arrays(self.B, *self._cross).edges()}
+    def _quotient(self) -> Graph:
+        return Graph.from_arrays(self.B, *self._cross)
 
     def m_rs(self, r: int, s: int) -> int:
         """Edge count between distinct communities r and s."""
@@ -317,13 +317,11 @@ class Partition:
             raise ValidationError("m_rs is defined for distinct communities; use m_r for internal edges")
         if not (0 <= r < self.B and 0 <= s < self.B):
             raise ValidationError("community id out of range")
-        key = (r, s) if r < s else (s, r)
-        return self._inter.get(key, 0)
+        return self._quotient.multiplicity(r, s)
 
     def inter_pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (r, s, count) for community pairs with at least one edge."""
-        for (r, s), c in self._inter.items():
-            yield r, s, c
+        yield from self._quotient.edges()
 
 
 def partition_stats(graph: Graph, assignment) -> Partition:

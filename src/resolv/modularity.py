@@ -363,9 +363,10 @@ def _movable(level, start, comm, sizes, kappas, coef, min_gain) -> np.ndarray:
     degree sums. A node is movable when a linked community other than its
     own, or detaching into an empty one while it has company, beats staying
     by more than ``min_gain``: the queue's accept rule, with its float
-    operations in the same order. Link weights are sums of integer
-    multiplicities, hence exact in any order. The CSR is read in row chunks
-    of about _CHUNK entries.
+    operations in the same order. Each chunk's links are grouped by (row,
+    community) through ``graph._merge_keys``; link weights are sums of
+    integer multiplicities, hence exact in any order. The CSR is read in row
+    chunks of about _CHUNK entries.
     """
     n, indptr, nbr, wgt, degrees = level
     alone = sizes.max() == 1
@@ -379,19 +380,11 @@ def _movable(level, start, comm, sizes, kappas, coef, min_gain) -> np.ndarray:
         c = comm[nbr[lo:hi]]
         links = wgt[lo:hi]
         if not alone:
-            # one group per (row, neighbour community): sort, then sum each run.
-            # With every node alone the neighbours' communities are distinct,
-            # so each entry is its own group; that sort dominated a sweep's
-            # peak RSS growth.
-            key = row * n + c
-            by_key = key.argsort(kind="stable")
-            key = key[by_key]
-            first = np.ones(key.size, dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            first = first.nonzero()[0]
-            links = np.add.reduceat(links[by_key], first)
-            row = row[first]  # the sort keeps the rows in order
-            c = key[first] - row * n
+            # one group per (row, neighbour community). With every node alone
+            # the neighbours' communities are distinct, so each entry is its
+            # own group; that sort dominated a sweep's peak RSS growth.
+            key, links = _merge_keys(row * n + c, links)
+            row, c = np.divmod(key, n)
         ci, ki = comm[r0:r1], degrees[r0:r1]
         cki = coef * ki
         own = np.bincount(row, weights=links * (c == ci[row]), minlength=r1 - r0)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import Graph, Partition, partition_stats, split_communities
 from .model_selection import OddsReport, bayes_log_odds
-from .modularity import louvain_maximize
+from .modularity import _check_gamma, louvain_maximize
 from .resolution import rescale_gamma
 from .seeding import _check_seed, derive_seed
 
@@ -107,8 +107,7 @@ def multiscale_detect(graph: Graph, gamma0: float = 0.5, seed: int = 0, *,
     """
     if graph.m < 1:
         raise ValidationError("multiscale detection needs at least one edge")
-    if not (np.isfinite(gamma0) and gamma0 > 0):
-        raise ValidationError("gamma0 must be positive and finite")
+    _check_gamma(gamma0)
     if max_depth < 1 or min_size < 1:
         raise ValidationError("max_depth and min_size must be >= 1")
     seed = _check_seed(seed)  # a root below min_size draws nothing

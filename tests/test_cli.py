@@ -1,7 +1,9 @@
 import csv
 import json
 import multiprocessing
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import resolv as rv
@@ -110,6 +112,29 @@ def test_generate_config_errors(tmp_path):
     assert main(["generate", "--config", missing, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("model", ["plateau", "er", "clique", "dcsbm", "extended_ppm"])
+def test_generate_config_fields_are_the_builders_parameters(tmp_path, capsys, model):
+    full = {"plateau": {"model": "plateau"}, "er": {"model": "er", "n": 10, "m": 15},
+            "clique": {"model": "clique", "n": 4}, "dcsbm": DCSBM, "extended_ppm": EPPM}[model]
+
+    def run(config):
+        code = main(["generate", "--config", write_config(tmp_path, config),
+                     "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    assert run(full)[0] == 0
+    for name in full:
+        code, err = run({k: v for k, v in full.items() if k != name})
+        assert code == 3
+        if name == "model":
+            assert "config field 'model' must be one of" in err
+        else:
+            assert f"missing config field(s) for model {model!r}: [{name!r}]" in err
+    code, err = run({**full, "seed": 1})
+    assert code == 3
+    assert f"unknown config field(s) for model {model!r}: ['seed']" in err
+
+
 # ------------------------------------------------------------------ detect
 
 def test_detect_louvain(tmp_path, capsys):
@@ -204,6 +229,26 @@ def test_bounds_out_file_and_uncovered_node(tmp_path):
     assert main(["bounds", "--graph", graph_path, "--communities", partial]) == 3
 
 
+def test_bounds_json_does_not_build_the_csv_rows(tmp_path):
+    # 300 four-node cliques in a ring: the B² CSV rows alone trace ~11 MiB
+    blocks, size = 300, 4
+    edges = [(r * size + i, r * size + j)
+             for r in range(blocks) for i in range(size) for j in range(i + 1, size)]
+    edges += [(r * size, (r + 1) % blocks * size + 1) for r in range(blocks)]
+    graph_path = write_graph(tmp_path, edges)
+    truth = write_truth(tmp_path, {i: i // size for i in range(blocks * size)})
+    out = tmp_path / "bounds.json"
+    tracemalloc.start()
+    try:
+        assert main(["bounds", "--graph", graph_path, "--communities", truth,
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out.read_text())["communities"] == blocks
+    assert peak < 8 * 2 ** 20
+
+
 # ----------------------------------------------------------------- metrics
 
 def test_metrics_matches_library(tmp_path, capsys):
@@ -271,6 +316,32 @@ def test_sweep_end_to_end(tmp_path, capsys):
     csv_lines = (tmp_path / "sw.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "gamma,seed_index,nmi,ari,communities,q,seconds"
     assert len(csv_lines) == 1 + 4 * 2
+
+
+def test_sweep_json_rows_are_the_csv_means(tmp_path):
+    config = write_config(tmp_path, {"model": "plateau"})
+    data = str(tmp_path / "plateau")
+    assert main(["generate", "--config", config, "--out", data]) == 0
+    seeds = 3
+    assert main(["sweep", "--graph", data + ".edges", "--truth", data + ".communities",
+                 "--grid", "0.5:30:5", "--seeds", str(seeds),
+                 "--out", str(tmp_path / "sw")]) == 0
+    rows = json.loads((tmp_path / "sw.json").read_text())["rows"]
+    with open(tmp_path / "sw.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        cells = list(reader)
+    first, *scores = rows[0]
+    assert first == "gamma"
+    assert reader.fieldnames == ["gamma", "seed_index", *scores]
+    assert len(cells) == len(rows) * seeds
+    for gi, row in enumerate(rows):
+        mine = cells[gi * seeds:(gi + 1) * seeds]
+        assert [float(c["gamma"]) for c in mine] == [row["gamma"]] * seeds
+        assert [int(c["seed_index"]) for c in mine] == list(range(seeds))
+        for score in scores:
+            assert float(np.mean([float(c[score]) for c in mine])) == row[score], score
+    # the grid reaches past the plateau: the means are not all equal
+    assert len({row["communities"] for row in rows}) > 1
 
 
 def test_sweep_no_stable_interval(tmp_path, capsys):
