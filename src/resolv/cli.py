@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from contextlib import nullcontext
 
 import numpy as np
@@ -243,22 +244,20 @@ def cmd_bounds(args) -> int:
         ext = fit_extended_ppm(graph, part)
         report["extended_fit"] = {"omega_out": ext.omega_out,
                                   "omega_diag": ext.omega_diag.tolist()}
-    # the CSV rows are B² tuples, so JSON output does not build them
-    flat = _flatten_bounds(report) if args.format == "csv" else None
-    _emit(report, args.format, args.out, flat=flat)
+    # the CSV rows are B² tuples: made one at a time, and only for CSV output
+    _emit(report, args.format, args.out, flat=_flatten_bounds(report))
     return EXIT_OK
 
 
-def _flatten_bounds(report) -> list[tuple]:
-    rows = [("communities", report["communities"]),
-            ("interval_lower", report["interval"]["lower"]),
-            ("interval_upper", report["interval"]["upper"]),
-            ("interval_empty", report["interval"]["empty"]),
-            ("gamma_mle", report["gamma_mle"])]
+def _flatten_bounds(report) -> Iterator[tuple]:
+    yield "communities", report["communities"]
+    yield "interval_lower", report["interval"]["lower"]
+    yield "interval_upper", report["interval"]["upper"]
+    yield "interval_empty", report["interval"]["empty"]
+    yield "gamma_mle", report["gamma_mle"]
     for i, row in enumerate(report["density_matrix"]):
         for j, value in enumerate(row):
-            rows.append((f"density_{i}_{j}", value))
-    return rows
+            yield f"density_{i}_{j}", value
 
 
 def cmd_metrics(args) -> int:
@@ -287,9 +286,8 @@ def _emit(report, fmt, out_path, flat) -> None:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         else:
-            lines = ["key,value"]
-            lines += [f"{k},{v}" for k, v in flat]
-            fh.write("\n".join(lines) + "\n")
+            fh.write("key,value\n")
+            fh.writelines(f"{k},{v}\n" for k, v in flat)  # row by row: a bounds CSV has B² rows
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -103,11 +103,16 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield canonical (u, v, multiplicity) triples, u <= v, sorted."""
-        yield from zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist())
+        # in slices: Python lists of a million-edge graph's arrays cost ~60 MiB
+        for lo in range(0, self.edge_u.size, _EDGE_CHUNK):
+            part = slice(lo, lo + _EDGE_CHUNK)
+            yield from zip(self.edge_u[part].tolist(), self.edge_v[part].tolist(),
+                           self.edge_w[part].tolist())
 
 
 # the maximizer's CSR arrays hold node ids as int32 (see modularity._csr)
 _MAX_NODES = 2 ** 31
+_EDGE_CHUNK = 1 << 16  # edges per slice of Graph.edges()
 
 
 def _check_node_count(n: int) -> int:

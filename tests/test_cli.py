@@ -229,23 +229,37 @@ def test_bounds_out_file_and_uncovered_node(tmp_path):
     assert main(["bounds", "--graph", graph_path, "--communities", partial]) == 3
 
 
-def test_bounds_json_does_not_build_the_csv_rows(tmp_path):
-    # 300 four-node cliques in a ring: the B² CSV rows alone trace ~11 MiB
+def traced_ring_bounds(tmp_path, fmt):
+    """tracemalloc peak of ``bounds --format fmt`` on 300 four-node cliques in
+    a ring, and the file it wrote; the B² CSV rows alone trace ~11 MiB."""
     blocks, size = 300, 4
     edges = [(r * size + i, r * size + j)
              for r in range(blocks) for i in range(size) for j in range(i + 1, size)]
     edges += [(r * size, (r + 1) % blocks * size + 1) for r in range(blocks)]
     graph_path = write_graph(tmp_path, edges)
     truth = write_truth(tmp_path, {i: i // size for i in range(blocks * size)})
-    out = tmp_path / "bounds.json"
+    out = tmp_path / f"bounds.{fmt}"
     tracemalloc.start()
     try:
         assert main(["bounds", "--graph", graph_path, "--communities", truth,
-                     "--out", str(out)]) == 0
+                     "--format", fmt, "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert json.loads(out.read_text())["communities"] == blocks
+    return peak, out
+
+
+def test_bounds_json_does_not_build_the_csv_rows(tmp_path):
+    peak, out = traced_ring_bounds(tmp_path, "json")
+    assert json.loads(out.read_text())["communities"] == 300
+    assert peak < 8 * 2 ** 20
+
+
+def test_bounds_csv_writes_its_rows_as_they_are_made(tmp_path):
+    peak, out = traced_ring_bounds(tmp_path, "csv")
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["key,value", "communities,300"]
+    assert len(lines) == 1 + 5 + 300 * 300
     assert peak < 8 * 2 ** 20
 
 

@@ -85,6 +85,26 @@ def test_fast_and_exact_paths_agree_in_distribution():
     assert abs(means["exact"][0] - means["fast"][0]) <= 4 * np.sqrt(2 * means["exact"][0] / samples)
 
 
+def test_fast_path_follows_the_model_per_node():
+    # unequal degrees, interleaved blocks, an empty block 2 and omega_01 = 0:
+    # a node mixed up with another of its block shifts both nodes' means
+    g = np.array([3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 1, 3, 0, 3, 1])
+    k = np.geomspace(1.0, 30.0, g.size)
+    omega = np.array([[4.0, 0.0, 0.5, 0.7],
+                      [0.0, 3.0, 0.5, 0.3],
+                      [0.5, 0.5, 4.0, 0.5],
+                      [0.7, 0.3, 0.5, 5.0]])
+    params = rv.DcsbmParams(g, k, omega)
+    samples = 4000
+    degrees = np.array([_sample_fast(params, make_rng(53_000 + s)).degrees for s in range(samples)])
+    kappa = np.bincount(g, weights=k, minlength=4)
+    expect = k * (omega[g] @ kappa) / k.sum()
+    # deg_i is a sum of independent Poisson pair counts, its self-loop count
+    # twice, so its variance is the mean plus twice the loop mean
+    var = expect + omega[g, g] * k * k / k.sum()
+    assert (np.abs(degrees.mean(axis=0) - expect) <= 4 * np.sqrt(var / samples)).all()
+
+
 # sha256 pins of the fast route's output. They fix numpy's Generator stream as
 # well as the sampler, so a failure right after a numpy upgrade need not be a
 # code change. Update them only for an announced change to the sampled graphs,
@@ -93,17 +113,17 @@ def test_fast_and_exact_paths_agree_in_distribution():
     # block 1 has no members: kappa_1 = 0, so no pair of it takes a draw
     (rv.DcsbmParams(block_assignment=[0] * 6 + [2] * 6, target_degrees=np.arange(1.0, 13.0),
                     omega=[[3.0, 0.5, 0.5], [0.5, 3.0, 0.5], [0.5, 0.5, 3.0]]),
-     "78d17978190145e8eccf15ad6130ab68b1ee42340ca163e06fc268a4d580e67a"),
+     "ac36702773347963cc74ca8e231e032ddf2c6dbc66e1e756891a67d12e917b1c"),
     # omega_01 = 0: a zero mean takes no draw
     (rv.DcsbmParams(block_assignment=np.repeat([0, 1, 2], 5),
                     target_degrees=np.linspace(2.0, 6.0, 15),
                     omega=[[4.0, 0.0, 1.0], [0.0, 4.0, 0.5], [1.0, 0.5, 4.0]]),
-     "fbe95e1c56587ba17a6d57b3ff8662dc6fa50d52d08f5d8a34e963eee6698af6"),
+     "9f06c264d90bd7f33a3c5f61bc72f69b9c19d45b0c45c4d4049659f03efd3c2b"),
     # diagonal means 6 * 80 * 80 / 160 / 2 = 120 take numpy's other Poisson
     # algorithm (mean >= 10); the off-diagonal mean is 4
     (rv.DcsbmParams(block_assignment=np.repeat([0, 1], 8), target_degrees=np.full(16, 10.0),
                     omega=[[6.0, 0.1], [0.1, 6.0]]),
-     "f0afe18dee621c7518c4c7a7ee06b8be88d50174d3617ac54808ae2cefb59d6a"),
+     "bda3c66f41ca61a0b318a885a9fb25423c9fe137daaea55f8806bcc7a318cf04"),
 ], ids=["empty-block", "zero-omega", "large-mean"])
 def test_pinned_fast_samples(params, digest):
     import hashlib
@@ -128,7 +148,7 @@ def test_pinned_generate_files(tmp_path):
     digests = {ext: hashlib.sha256((tmp_path / f"g.{ext}").read_bytes()).hexdigest()
                for ext in ("edges", "communities")}
     assert digests == {
-        "edges": "f1dc06efc405bf616c6c4a1dfb985cdde883e72b7790efc5434041fe5238a41b",
+        "edges": "c2771e4424c225d5021ac15a5d3f50d6c3722d7f6282bd38b1005714d9c77a18",
         "communities": "79f059764c6e9407c79468b5937543b9b4601dcfc50ecd21e2275f92b1f14ceb"}
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,18 @@ def test_edge_list_roundtrip(tmp_path):
     assert relabeled == [("0", "1", 3), ("1", "3", 1), ("2", "2", 2)]
     assert g2.m == g.m
     assert sorted(g2.degrees.tolist()) == sorted(g.degrees.tolist())
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_edge_list_bytes_do_not_depend_on_the_slice_size(tmp_path, monkeypatch, chunk):
+    # edges() and so write_edge_list work through the arrays in slices of
+    # _EDGE_CHUNK edges; 64 is above m = 13
+    monkeypatch.setattr(importlib.import_module("resolv.graph"), "_EDGE_CHUNK", chunk)
+    g = rv.Graph.from_edges(6, [(3, 4, 4), (0, 1, 3), (2, 2, 2), (5, 0), (1, 3), (4, 5, 2)])
+    assert list(g.edges()) == [(0, 1, 3), (0, 5, 1), (1, 3, 1), (2, 2, 2), (3, 4, 4), (4, 5, 2)]
+    rv.write_edge_list(g, tmp_path / "g.edges")
+    assert (tmp_path / "g.edges").read_bytes() == (
+        b"0\t1\n" * 3 + b"0\t5\n" + b"1\t3\n" + b"2\t2\n" * 2 + b"3\t4\n" * 4 + b"4\t5\n" * 2)
 
 
 @pytest.mark.parametrize("n, edges, reason", [

@@ -5,6 +5,7 @@ exact identities of the merge gain and the agreement scores."""
 from __future__ import annotations
 
 import importlib
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -122,10 +123,14 @@ def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
     assume(g.m > 0)
     level = _csr(g)
     # ids below n with gaps, as louvain_maximize seeds a cycle's first phase,
-    # or every node alone, as each level starts
+    # every node alone, as each level starts, or communities of two, where a
+    # node's links into one community must be summed
     init = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
-                              | st.permutations(range(n))))
-    gamma = data.draw(st.floats(0.05, 60.0))
+                              | st.permutations(range(n))
+                              | st.permutations(range(n)).map(lambda p: [i // 2 for i in p])))
+    # log-uniform: gains sit near zero for gamma around 1, where a wrong
+    # sum of a node's links shows
+    gamma = data.draw(st.floats(math.log(0.05), math.log(60.0)).map(math.exp))
     chunk = data.draw(st.sampled_from([1, 2, 5, 4096]), label="chunk")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_modularity, "_CHUNK", chunk)
@@ -264,7 +269,7 @@ def block_models(draw):
 
 
 def _boundary_case():
-    """One block of two nodes where the first endpoint draw u lands exactly
+    """One block of two nodes where the first end's uniform u lands exactly
     on the cdf boundary between them; Generator.choice takes the upper node.
 
     Weights u and 1 - u (exact for u >= 0.5) sum to exactly 1.0, so the cdf
@@ -273,16 +278,54 @@ def _boundary_case():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         if rng.poisson(1.0) and (u := rng.random()) >= 0.5:
-            return rv.DcsbmParams([0, 0], [u, 1.0 - u], [[2.0]]), seed
+            return rv.DcsbmParams([0, 0], [u, 1.0 - u], [[2.0]]), make_rng(seed).bit_generator.state
     raise AssertionError("no seed in 0..99 draws an edge with u >= 0.5")
 
 
+def _generator(state: dict) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+# numpy's PCG64 steps its 128-bit state s to s * _PCG_MUL + inc and outputs
+# rotr64(hi ^ lo, hi >> 58) of the new state
+_PCG_MUL = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _rounding_case():
+    """Block 1 of nodes 1 and 2, whose first end takes the largest uniform,
+    1 - 2**-53: its offset 1.0 plus that rounds to 2.0, the block's last cdf
+    entry, so an unclamped search runs past the last node.
+
+    Any state whose high and low halves are complements outputs all ones,
+    which random() maps to 1 - 2**-53. Going back j steps from such a state
+    gives a generator whose Poisson draw takes the first j - 1 outputs when
+    its count comes out at j - 2; search j and the high half for a count >= 1.
+    """
+    params = rv.DcsbmParams([0, 1, 1], [1.0, 1.0, 1.0], [[0.0, 0.0], [0.0, 1.5]])  # mean 1
+    state = make_rng(0).bit_generator.state
+    inc, back = state["state"]["inc"], pow(_PCG_MUL, -1, 2**128)
+    for hi in range(1, 50):
+        for j in range(3, 6):
+            s = hi << 64 | (hi ^ (2**64 - 1))
+            for _ in range(j):
+                s = (s - inc) * back % 2**128
+            state["state"]["state"] = s
+            rng = _generator(state)
+            if rng.poisson(1.0) == j - 2 and rng.random() == 1 - 2**-53:
+                return params, state
+    raise AssertionError("no state found whose first end draws 1 - 2**-53")
+
+
 @settings(max_examples=200, deadline=None)
-@given(block_models(), st.integers(0, 2**32 - 1))
+@given(block_models(), st.integers(0, 2**32 - 1).map(lambda s: make_rng(s).bit_generator.state))
 @example(*_boundary_case())
-def test_fast_sampler_matches_per_pair_reference(params, seed):
-    # same seed, same random stream: edge for edge, not just in distribution
-    g = _sample_fast(params, make_rng(seed))  # sample_dcsbm's draws, on the fast route
-    pairs, _ = canonical_multigraph(params.n, sample_fast_reference(params, seed))
+@example(*_rounding_case())
+def test_fast_sampler_matches_per_pair_reference(params, state):
+    # same random stream, edge for edge, not just in distribution; the
+    # generated states are sample_dcsbm's, from make_rng(seed)
+    g = _sample_fast(params, _generator(state))
+    pairs, _ = canonical_multigraph(params.n, sample_fast_reference(params, _generator(state)))
     assert g.n == params.n
     assert list(g.edges()) == sorted((a, b, c) for (a, b), c in pairs.items())
