@@ -290,7 +290,13 @@ def _emit(report, fmt, out_path, flat) -> None:
             fh.writelines(f"{k},{v}\n" for k, v in flat)  # row by row: a bounds CSV has B² rows
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+# A sweep cell is one maximizer call, and its score row stays in memory: a
+# million cells is about half an hour and half a GiB on the plateau fixture, so
+# more is a typo, refused before np.linspace or the cell list allocates them.
+_SWEEP_CELLS_MAX = 10 ** 6
+
+
+def _parse_grid(spec: str, seeds: int) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ParseError(f"grid spec must be LO:HI:STEPS, got {spec!r}")
@@ -299,13 +305,12 @@ def _parse_grid(spec: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError as exc:
         raise ParseError(f"grid spec must be LO:HI:STEPS, got {spec!r}") from exc
-    if steps < 1:
-        raise ValidationError("grid needs at least one step")
+    if not 1 <= steps * seeds <= _SWEEP_CELLS_MAX:  # seeds >= 1 was checked
+        raise ValidationError(f"a sweep runs 1 to {_SWEEP_CELLS_MAX} cells (grid steps x seeds), "
+                              f"got {steps} x {seeds}")
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo <= 0 or hi < lo:
         raise ValidationError("grid bounds must satisfy 0 < LO <= HI")
-    if steps == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, steps)
+    return np.linspace(lo, hi, steps)  # one step is [LO]
 
 
 def _worker_cap() -> int:
@@ -360,9 +365,9 @@ def cmd_sweep(args) -> int:
 
     graph, labels = load_edge_list(args.graph)
     truth_map = load_communities(args.truth)
-    grid = _parse_grid(args.grid)
     if args.seeds < 1:
         raise ValidationError("--seeds must be >= 1")
+    grid = _parse_grid(args.grid, args.seeds)
     if not (0.0 <= args.threshold <= 1.0):
         raise ValidationError("--threshold must lie in [0, 1]")
 

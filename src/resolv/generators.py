@@ -11,16 +11,12 @@ where 2m = sum(k). omega is expressed relative to a degree-preserving
 random graph, so omega == 1 everywhere reproduces a configuration-model-like
 graph and realized degrees match targets in expectation.
 
-Two routes draw from the same distribution; the node count alone picks one:
-
-* "exact", up to 2000 nodes: one Poisson draw per node pair; quadratic.
-* "fast", above 2000 nodes: one Poisson draw per *block pair* for the total
-  edge count, then endpoints drawn within each block proportional to target
-  degree. Thinning a Poisson process over pairs by endpoint probabilities
-  k_i/kappa_r gives independent pair counts with exactly the means above,
-  so the routes agree in distribution (not draw-for-draw). Its draw order is
-  a seed contract that tests pin: the counts of all pairs r <= s row-major,
-  skipping zero means; then one uniform per edge's r end; then per s end.
+One Poisson draw per *block pair* gives its total edge count, and each
+edge's ends are drawn within their blocks proportional to target degree.
+Thinning a Poisson process over pairs by endpoint probabilities k_i/kappa_r
+gives independent pair counts with exactly the means above. The draw order
+is a seed contract that tests pin: the counts of all pairs r <= s row-major,
+skipping zero means; then one uniform per edge's r end; then per s end.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from .errors import ValidationError
 from .graph import Graph, Partition, _check_node_count, partition_stats
 from .seeding import derive_seed, make_rng
 
-_EXACT_LIMIT = 2000
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)  # numpy's lam limit
 
 
@@ -172,33 +167,15 @@ def _assign(params, **fields) -> None:
 def sample_dcsbm(params: DcsbmParams, seed: int) -> Graph:
     """Draw one graph from the block model.
 
-    Same seed, same graph, bit for bit. Up to 2000 nodes it takes one
-    Poisson draw per node pair; above that, one per block pair with a
-    nonzero mean, then a uniform for every edge's r end and then for every
-    s end (the module docstring's seed contract). A Poisson mean that is not
-    finite or beyond numpy's range raises ValidationError before any draw;
-    every other value was checked when ``params`` was built.
+    Same seed, same graph, bit for bit: one Poisson draw per block pair
+    with a nonzero mean, then a uniform for every edge's r end and then for
+    every s end (the module docstring's seed contract). A Poisson mean that
+    is not finite or beyond numpy's range raises ValidationError before any
+    draw; every other value was checked when ``params`` was built.
     """
-    rng = make_rng(seed)
-    # an overflowing mean comes out inf or nan, and _checked rejects it
+    # an overflowing mean comes out inf or nan, and _sample_fast rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        return (_sample_exact if params.n <= _EXACT_LIMIT else _sample_fast)(params, rng)
-
-
-def _checked(means: np.ndarray) -> np.ndarray:
-    if not means.max() <= _POISSON_MAX:  # nan fails the comparison too
-        raise ValidationError(f"an expected edge count is not finite or above {_POISSON_MAX:.3g}")
-    return means
-
-
-def _sample_exact(params: DcsbmParams, rng: np.random.Generator) -> Graph:
-    g, k = params.block_assignment, params.target_degrees
-    iu, iv = np.triu_indices(params.n)
-    means = params.omega[g[iu], g[iv]] * (k[iu] * k[iv]) / float(k.sum())
-    means[iu == iv] *= 0.5
-    counts = rng.poisson(_checked(means))
-    nz = counts > 0
-    return Graph.from_arrays(params.n, iu[nz], iv[nz], counts[nz])
+        return _sample_fast(params, make_rng(seed))
 
 
 def _sample_fast(params: DcsbmParams, rng: np.random.Generator) -> Graph:
@@ -212,7 +189,9 @@ def _sample_fast(params: DcsbmParams, rng: np.random.Generator) -> Graph:
     means *= np.broadcast_to(kappa, (B, B))[upper]
     means /= float(k.sum())
     means[starts] *= 0.5
-    pair = np.flatnonzero(counts := rng.poisson(_checked(means)))  # a zero mean takes no draw
+    if not means.max() <= _POISSON_MAX:  # nan fails the comparison too
+        raise ValidationError(f"an expected edge count is not finite or above {_POISSON_MAX:.3g}")
+    pair = np.flatnonzero(counts := rng.poisson(means))  # a zero mean takes no draw
     rs = starts.searchsorted(pair, side="right") - 1
     ss, counts = pair - starts[rs] + rs, counts[pair]
     # Nodes grouped by block: cdf[i] is the count of nonempty blocks before i's
@@ -230,7 +209,7 @@ def _sample_fast(params: DcsbmParams, rng: np.random.Generator) -> Graph:
 
 
 def sample_extended_ppm(params: ExtendedPpmParams, seed: int) -> tuple[Graph, Partition]:
-    """Draw a planted-partition graph and its ground truth (pair by pair up to 2000 nodes)."""
+    """Draw a planted-partition graph and its ground truth."""
     model = params.to_dcsbm()
     graph = sample_dcsbm(model, seed)
     return graph, partition_stats(graph, model.block_assignment)

@@ -179,6 +179,23 @@ def sample_fast_reference(params, rng):
     return list(zip(us, vs))
 
 
+def sample_pairwise_reference(params, rng):
+    """The block model drawn the direct way: one Poisson count per node pair.
+
+    ``params`` is a DcsbmParams and ``rng`` a numpy Generator. Pair (i, j),
+    i <= j row-major, has mean omega[g_i, g_j] k_i k_j / 2m, halved on the
+    diagonal. Quadratic in n. Returns the (u, v, multiplicity) arrays of the
+    pairs that drew at least one edge.
+    """
+    g, k = params.block_assignment, params.target_degrees
+    iu, iv = np.triu_indices(params.n)
+    means = params.omega[g[iu], g[iv]] * (k[iu] * k[iv]) / float(k.sum())
+    means[iu == iv] *= 0.5
+    counts = rng.poisson(means)
+    nz = counts > 0
+    return iu[nz], iv[nz], counts[nz]
+
+
 def community_counts(edges, assignment):
     """Per-community tallies straight from an (u, v, multiplicity) list.
 

@@ -444,6 +444,9 @@ def test_sweep_argument_errors(tmp_path, monkeypatch):
     assert main(base + ["--grid", "1:2:0"]) == 3          # no steps
     assert main(base + ["--grid", "1:2:3", "--seeds", "0"]) == 3
     assert main(base + ["--grid", "1:2:3", "--threshold", "1.5"]) == 3
+    # the cell bound counts grid steps times seeds
+    monkeypatch.setattr("resolv.cli._SWEEP_CELLS_MAX", 8)
+    assert main(base + ["--grid", "1:2:3", "--seeds", "3"]) == 3
     monkeypatch.setenv("RESOLV_THREADS", "many")
     assert main(base + ["--grid", "1:2:3"]) == 3
 
@@ -484,6 +487,13 @@ def negative_seed(command, *extra):
     return make_argv
 
 
+def sweep_grid(grid):
+    def make_argv(tmp_path):
+        graph_path, truth = sweep_inputs(tmp_path)
+        return ["sweep", "--graph", graph_path, "--truth", truth, "--grid", grid]
+    return make_argv
+
+
 def raw_config(value):
     return lambda tmp_path: ["generate", "--config", write_config(tmp_path, value)]
 
@@ -507,8 +517,8 @@ def config(model, **fields):
     (config(EPPM, omega_out=[0.2]), 3),
     (config(EPPM, omega_diag={"a": 1}), 3),
     (config({"model": "er", "m": 5}, n=True), 3),
-    # Poisson means that overflow to inf or nan, or exceed numpy's range;
-    # 2002 nodes take the fast route
+    # Poisson means that overflow to inf or nan, or exceed numpy's range, on
+    # 10-node and 2002-node models
     (config(DCSBM, target_degrees=1e308), 3),
     (config(DCSBM, omega=[[1e300, 0.2], [0.2, 1e300]]), 3),
     (config(EPPM, community_sizes=[1001, 1001], target_degrees=1e200), 3),
@@ -538,6 +548,9 @@ def config(model, **fields):
     (raw_config([]), 3),
     (raw_config("er"), 3),
     (raw_config(3), 3),
+    # grids np.linspace cannot allocate (7.28 TiB) or represent, refused first
+    (sweep_grid("0.1:1:1000000000000"), 3),
+    (sweep_grid("0.1:1:100000000000000000000"), 3),
 ], ids=["edges-not-utf8", "truth-not-utf8", "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
         "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
@@ -547,7 +560,7 @@ def config(model, **fields):
         "multiscale-negative-seed", "sweep-negative-seed", "generate-negative-seed",
         "clique-negative-seed", "negative-size-scalar", "negative-size-list", "model-list",
         "sizes-past-int64", "size-past-limit", "er-past-limit", "config-list",
-        "config-string", "config-number"])
+        "config-string", "config-number", "grid-steps-huge", "grid-steps-past-int64"])
 def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
     assert "internal error" not in capsys.readouterr().err

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import resolv as rv
-from resolv.generators import _sample_exact, _sample_fast
 from resolv.seeding import make_rng
+from oracles import sample_pairwise_reference
 
 
 def serialize(g: rv.Graph) -> bytes:
@@ -29,13 +29,11 @@ def two_block_params(omega_in=5.0, omega_out=0.2, size=50, k=10.0) -> rv.DcsbmPa
 
 def test_sample_is_deterministic_per_seed():
     params = two_block_params()
-    # each route as sample_dcsbm runs it: a generator from make_rng(seed)
-    for sample in (_sample_exact, _sample_fast):
-        a = sample(params, make_rng(9))
-        b = sample(params, make_rng(9))
-        c = sample(params, make_rng(10))
-        assert serialize(a) == serialize(b)
-        assert serialize(a) != serialize(c)
+    a = rv.sample_dcsbm(params, seed=9)
+    b = rv.sample_dcsbm(params, seed=9)
+    c = rv.sample_dcsbm(params, seed=10)
+    assert serialize(a) == serialize(b)
+    assert serialize(a) != serialize(c)
 
 
 def test_degree_sum_identity_on_every_sample():
@@ -69,12 +67,16 @@ def test_fast_and_exact_paths_agree_in_distribution():
     params = two_block_params(size=30, k=8.0)
     truth = np.repeat([0, 1], 30)
     samples = 400
+    # the sampler against the per-node-pair oracle, which draws the same model
+    draws = {"exact": lambda seed: rv.Graph.from_arrays(
+                 params.n, *sample_pairwise_reference(params, make_rng(seed))),
+             "fast": lambda seed: rv.sample_dcsbm(params, seed)}
     means = {}
-    for method, sample in (("exact", _sample_exact), ("fast", _sample_fast)):
+    for method, sample in draws.items():
         inter = np.empty(samples)
         total = np.empty(samples)
         for s in range(samples):
-            g = sample(params, make_rng(31_000 + s))
+            g = sample(31_000 + s)
             total[s] = g.m
             inter[s] = rv.partition_stats(g, truth).m_rs(0, 1)
         means[method] = (total.mean(), inter.mean())
@@ -96,7 +98,7 @@ def test_fast_path_follows_the_model_per_node():
                       [0.7, 0.3, 0.5, 5.0]])
     params = rv.DcsbmParams(g, k, omega)
     samples = 4000
-    degrees = np.array([_sample_fast(params, make_rng(53_000 + s)).degrees for s in range(samples)])
+    degrees = np.array([rv.sample_dcsbm(params, 53_000 + s).degrees for s in range(samples)])
     kappa = np.bincount(g, weights=k, minlength=4)
     expect = k * (omega[g] @ kappa) / k.sum()
     # deg_i is a sum of independent Poisson pair counts, its self-loop count
@@ -105,7 +107,7 @@ def test_fast_path_follows_the_model_per_node():
     assert (np.abs(degrees.mean(axis=0) - expect) <= 4 * np.sqrt(var / samples)).all()
 
 
-# sha256 pins of the fast route's output. They fix numpy's Generator stream as
+# sha256 pins of the sampler's output. They fix numpy's Generator stream as
 # well as the sampler, so a failure right after a numpy upgrade need not be a
 # code change. Update them only for an announced change to the sampled graphs,
 # and say so in CHANGES.md.
@@ -127,7 +129,7 @@ def test_fast_path_follows_the_model_per_node():
 ], ids=["empty-block", "zero-omega", "large-mean"])
 def test_pinned_fast_samples(params, digest):
     import hashlib
-    g = _sample_fast(params, make_rng(3))  # sample_dcsbm's draws at seed 3
+    g = rv.sample_dcsbm(params, seed=3)
     blob = g.edge_u.tobytes() + g.edge_v.tobytes() + g.edge_w.tobytes()
     assert hashlib.sha256(blob).hexdigest() == digest
 
@@ -172,10 +174,10 @@ def test_zero_density_gives_empty_graph():
     params = rv.DcsbmParams(block_assignment=np.zeros(5, dtype=int),
                             target_degrees=np.full(5, 3.0),
                             omega=np.zeros((1, 1)))
-    for g in (rv.sample_dcsbm(params, seed=0), _sample_fast(params, make_rng(0))):
-        assert g.m == 0
-        assert g.n == 5
-        assert g.degrees.tolist() == [0] * 5
+    g = rv.sample_dcsbm(params, seed=0)
+    assert g.m == 0
+    assert g.n == 5
+    assert g.degrees.tolist() == [0] * 5
 
 
 def test_dcsbm_validation_errors():

@@ -220,7 +220,7 @@ def test_pinned_louvain_outputs():
                   for gamma in (0.5, 1.0, 2.0, 5.0) for s in range(5)) == (
         "830ac828b266e34006b2198bc64096ce6af9e05daa784b006ad4cb93d5e23e19")
     assert digest(rv.louvain_maximize(planted, 1.0, seed=s) for s in range(3)) == (
-        "3f2b40d389aeae85371a8423cd89db44718da2d6cd86f4f18a0744c9dca6d931")
+        "082a3844bde710d4b77196adc7139bb2d7e2263cfbc252fa1fedfbf55a6e779f")
     assert digest(rv.louvain_maximize(rv.sample_er(12 + s % 20, 20 + s % 25, s),
                                       0.5 + (s % 5) * 0.5, seed=s) for s in range(40)) == (
         "443acc7b8752c0965f532fed8ff6e2ee1bc36abf42276d6343140896eea7d306")
@@ -248,7 +248,7 @@ def test_pinned_high_gamma_louvain_outputs():
         "1407ad1000b0066e2a75628071afdb9d853e71d4cda05994711fd5747db78eaf")
     assert digest(rv.louvain_maximize(planted, gamma, seed=s)
                   for gamma in (3.0, 8.0) for s in range(3)) == (
-        "e5559e4e2c71cf899c2414b7be94ab32957dec23bc7ea7cb0b7db51329f7529e")
+        "dfab3bce56b2542eef497b18a7dae8142b0dae74162832992c6e5338086101df")
 
 
 def test_modularity_and_louvain_against_networkx():
@@ -282,6 +282,25 @@ def test_modularity_and_louvain_against_networkx():
                 multi, nx.community.louvain_communities(multi, resolution=gamma, seed=seed),
                 resolution=gamma) for seed in range(10))
             assert max(ours) >= theirs - 1e-12, (g.n, gamma, max(ours), theirs)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 6: Louvain never splits an aggregated community, so on this planted "
+    "graph our best of seeds 0-9 falls 1.6e-3 short of networkx's best"))
+def test_louvain_reaches_networkx_where_aggregation_falls_short():
+    # one of the 2 shortfalls of 120 cases in ROADMAP item 6's comparison: the
+    # cross-check's planted model at graph seed 9 and gamma 2, best against best
+    nx = pytest.importorskip("networkx")
+    g = rv.sample_extended_ppm(rv.ExtendedPpmParams(
+        [8] * 6, np.full(48, 6.0), 0.2, [5.0] * 6), seed=9)[0]
+    multi = nx.MultiGraph()
+    multi.add_nodes_from(range(g.n))
+    multi.add_edges_from((u, v) for u, v, w in g.edges() for _ in range(w))
+    ours = max(rv.modularity(g, rv.louvain_maximize(g, 2.0, seed=s), 2.0) for s in range(10))
+    theirs = max(nx.community.modularity(
+        multi, nx.community.louvain_communities(multi, resolution=2.0, seed=s),
+        resolution=2.0) for s in range(10))
+    assert ours >= theirs - 1e-12, (ours, theirs)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 3.0, 20.0])

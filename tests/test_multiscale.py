@@ -157,10 +157,10 @@ def test_tree_serialization_roundtrips_to_plain_data():
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "594046f71dda5b47188aba096301e3a4ffb7d16ad8d90475bb06e6a35399d254"),
-    (1, "d6ef8082ca42bea7595b8986770a0a1011e326690cadd197c2c3dc3892372a9c"),
-    (2, "011b49d2f67b021ad9ce5ed6b761168a8c9f33959e02812ea0ad944bc7a02bd8"),
-])
+    (0, "e7457d1c6c295192abed11f9c3d866fe7e33f76902d59a750c00b8ec2de02393"),
+    (1, "390407bc075aa1ac6334ed9d69039245e30ebbc3dbfbe423530d56a2542668b4"),
+    (2, "72db03d4ed697407a5e25ebd83269176727ec1149ad8044e0a74eaad79c6536f"),
+], ids=["seed-0", "seed-1", "seed-2"])
 def test_pinned_outputs_on_many_small_communities(seed, digest):
     # 60 planted 10-node blocks: nearly every maximizer call is on a graph
     # of at most 32 nodes, so chain refinement and lone-super-node levels
@@ -171,7 +171,7 @@ def test_pinned_outputs_on_many_small_communities(seed, digest):
     g, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
         community_sizes=[10] * 60, target_degrees=np.full(600, 10.0),
         omega_out=0.2, omega_diag=[60 - 59 * 0.2] * 60), seed=0)
-    assert (g.n, g.m) == (600, 2946)
+    assert (g.n, g.m) == (600, 3040)
     part, tree = rv.multiscale_detect(g, 0.5, seed=seed)
     blob = part.assignment.tobytes() + json.dumps(tree.to_dict()).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
