@@ -33,7 +33,8 @@ class Graph:
 
     Edges are canonicalized: u <= v, sorted lexicographically, duplicates
     merged into the multiplicity column. ``degrees`` and ``m`` are derived
-    at construction and checked (sum(degrees) == 2*m).
+    at construction and checked (sum(degrees) == 2*m). ``multiplicity``
+    binary-searches the sorted arrays; no lookup table is built or cached.
     """
 
     n: int
@@ -92,14 +93,13 @@ class Graph:
         assert int(degrees.sum()) == 2 * m
         return cls(n=n, edge_u=lo, edge_v=hi, edge_w=w, degrees=degrees, m=m)
 
-    @cached_property
-    def _pair_index(self) -> dict:
-        return {(a, b): c for a, b, c in self.edges()}
-
     def multiplicity(self, u: int, v: int) -> int:
         """Number of parallel edges between u and v (0 if none)."""
-        a, b = (u, v) if u <= v else (v, u)
-        return self._pair_index.get((a, b), 0)
+        # the run of edges whose lower end is min(u, v), then within it the
+        # at most one edge whose upper end is max(u, v)
+        lo, hi = np.searchsorted(self.edge_u, [min(u, v), min(u, v) + 1])
+        lo, hi = lo + np.searchsorted(self.edge_v[lo:hi], [max(u, v), max(u, v) + 1])
+        return int(self.edge_w[lo:hi].sum())
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield canonical (u, v, multiplicity) triples, u <= v, sorted."""
@@ -137,11 +137,12 @@ def _merge_keys(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _int64(values, what: str) -> np.ndarray:
     """``values`` as a flat int64 array (a view of int64 input).
 
-    Non-integers are rejected, and so are unsigned or integral float values
-    outside the int64 range, which the cast would otherwise wrap.
+    Non-integers, booleans included, are rejected, and so are unsigned or
+    integral float values outside the int64 range, which the cast would
+    otherwise wrap.
     """
     a = np.asarray(values).reshape(-1)
-    if a.dtype.kind not in "biu":
+    if a.dtype.kind not in "iu":
         if a.dtype.kind != "f" or not (np.isfinite(a) & (a == np.trunc(a))).all():
             raise ValidationError(f"{what} must be integers")
     if a.dtype.kind in "uf" and a.size and not -2**63 <= int(a.min()) <= int(a.max()) < 2**63:

@@ -16,9 +16,9 @@ queues its neighbours outside its new community again. Moves elsewhere also
 shift the gamma * kappa penalty of nodes that are not queued, so the queue
 alone certifies nothing; a final full pass over the original graph in which
 no node moves certifies local optimality. On levels above _SKIP_LIMIT nodes
-a phase first decides in numpy which nodes could move from its starting
-state, and skips the nodes its queue would pop before the first of them,
-so "no node moves" is then decided without a Python visit. Multiplicities
+a phase first checks in numpy, chunk by chunk, whether any node could move
+from its starting state; a phase in which none can is idle and ends without
+a Python visit, while any other phase runs its whole queue. Multiplicities
 and self-loops are honored throughout: a self-loop stays internal wherever
 its node goes, so it never enters a move gain, but it does count in Q and
 in aggregated super-node loops.
@@ -40,8 +40,8 @@ from .seeding import make_rng
 _KL_LIMIT = 32
 # minimum Q improvement for a move, merge or chain to count
 _TOL = 1e-12
-# levels with more nodes than this skip each phase's idle prefix; on smaller
-# ones the numpy movability pass (~60 us) costs more than the visits it saves
+# levels with more nodes than this certify idle phases in numpy; on smaller
+# ones the movability pass (~60 us) costs more than the visits it saves
 _SKIP_LIMIT = 64
 # CSR entries per chunk of the movability pass: ~0.4 MiB of temporaries
 _CHUNK = 4096
@@ -257,12 +257,12 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     ends when the queue is empty. Returns the per-node community array and
     whether any move was accepted.
 
-    Every node the queue pops before its first move sees the starting state,
-    so on levels above _SKIP_LIMIT nodes ``_movable`` marks the nodes that
-    state lets move, and the queue starts at the first of them in the
-    permutation; the nodes before it count as popped. A phase with no
-    movable node returns right after drawing its permutation. The skip
-    changes neither the result nor the random stream.
+    Until its first move every pop sees the starting state, so a phase in
+    which that state lets no node move is idle. On levels above _SKIP_LIMIT
+    nodes ``_movable`` certifies that chunk by chunk, stopping at the first
+    chunk with a movable node, and an idle phase returns right after drawing
+    its permutation; any other phase runs its queue from the first node.
+    Neither the result nor the random stream depends on the check.
 
     The per-node state lives in Python lists, since scalar indexing into
     numpy arrays dominates this loop. The CSR stays in numpy and each visit
@@ -280,17 +280,10 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     kappas = np.bincount(comm_arr, weights=degrees, minlength=n)
     order = rng.permutation(n)
     start = indptr.tolist()
+    if n > _SKIP_LIMIT and not any(
+            mask.any() for mask in _movable(level, start, comm_arr, sizes, kappas, coef, min_gain)):
+        return comm_arr, False
     queued = [True] * n
-    if n > _SKIP_LIMIT:
-        # every node the queue pops before its first move sees this starting state
-        movable = _movable(level, start, comm_arr, sizes, kappas, coef, min_gain)[order]
-        skip = int(movable.argmax())
-        if not movable[skip]:
-            return comm_arr, False
-        prefix = np.ones(n, dtype=bool)
-        prefix[order[:skip]] = False
-        queued = prefix.tolist()
-        order = order[skip:]
     k = degrees.tolist()
     comm_size = sizes.tolist()
     comm_kappa = kappas.tolist()
@@ -355,8 +348,9 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     return np.asarray(comm, dtype=np.int64), any_move
 
 
-def _movable(level, start, comm, sizes, kappas, coef, min_gain) -> np.ndarray:
-    """Per node of ``level``: would ``_local_moving`` move it, visited first?
+def _movable(level, start, comm, sizes, kappas, coef, min_gain):
+    """Per node of ``level``, one boolean mask per row chunk: would
+    ``_local_moving`` move the node, visited first?
 
     ``start`` is the level's indptr as a list, ``comm`` the phase's starting
     assignment, ``sizes`` and ``kappas`` its per-community node counts and
@@ -366,12 +360,12 @@ def _movable(level, start, comm, sizes, kappas, coef, min_gain) -> np.ndarray:
     operations in the same order. Each chunk's links are grouped by (row,
     community) through ``graph._merge_keys``; link weights are sums of
     integer multiplicities, hence exact in any order. The CSR is read in row
-    chunks of about _CHUNK entries.
+    chunks of about _CHUNK entries, each only when its mask is asked for, so
+    a caller that stops at the first movable node reads no further.
     """
     n, indptr, nbr, wgt, degrees = level
     alone = sizes.max() == 1
     free = sizes.min() == 0
-    movable = np.zeros(n, dtype=bool)
     r0 = 0
     while r0 < n:
         r1 = max(bisect_right(start, start[r0] + _CHUNK) - 1, r0 + 1)
@@ -392,11 +386,11 @@ def _movable(level, start, comm, sizes, kappas, coef, min_gain) -> np.ndarray:
         # the own community's group never passes: next to its score the
         # threshold drops cki * ki >= 0 from the penalty and adds min_gain >= 0
         gain = links - cki[row] * kappas[c]
-        movable[r0:r1] = np.bincount(row, weights=gain > threshold[row], minlength=r1 - r0) > 0
+        mask = np.bincount(row, weights=gain > threshold[row], minlength=r1 - r0) > 0
         if free:
-            movable[r0:r1] |= (sizes[ci] > 1) & (0.0 > threshold)
+            mask |= (sizes[ci] > 1) & (0.0 > threshold)
+        yield mask
         r0 = r1
-    return movable
 
 
 def _csr(graph: Graph):

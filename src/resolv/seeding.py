@@ -36,7 +36,8 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 def _check_seed(seed) -> int:
-    """``seed`` as an int; ValidationError unless it is a non-negative integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    """``seed`` as an int; ValidationError unless it is a non-negative integer
+    other than a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)

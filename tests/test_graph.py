@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,29 @@ def test_duplicate_lines_accumulate_multiplicity(tmp_path):
     assert g.multiplicity(1, 0) == 2
     assert g.multiplicity(0, 2) == 0
     assert labels == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize("u, v, want", [
+    (0, 1, 2), (1, 0, 2), (2, 2, 3), (0, 2, 0), (2, 0, 0), (1, 3, 1), (3, 3, 0),
+    (-1, 0, 0), (0, -1, 0), (0, 4, 0), (4, 4, 0), (7, 1, 0),
+], ids=["forward", "reversed", "self-loop", "absent", "absent-reversed", "last-run",
+        "absent-loop", "negative", "negative-second", "at-n", "both-at-n", "past-n"])
+def test_multiplicity_looks_up_one_pair(u, v, want):
+    g = rv.Graph.from_edges(4, [(0, 1), (1, 0), (2, 2, 3), (1, 3), (0, 3)])
+    assert g.multiplicity(u, v) == want
+    assert type(g.multiplicity(u, v)) is int
+
+
+def test_multiplicity_builds_no_table():
+    # one lookup used to build a dict of every edge: 11 MiB at 60k edges
+    g = rv.sample_er(20000, 60000, 1)
+    tracemalloc.start()
+    try:
+        g.multiplicity(int(g.edge_v[0]), int(g.edge_u[0]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_self_loop_degree_convention(tmp_path):
@@ -142,9 +166,19 @@ def test_from_arrays_rejects_unequal_lengths():
      "community ids must fit in int64"),
     (lambda g, path: rv.partition_stats(g, [0.0] * 5 + [2.0**63]),
      "community ids must fit in int64"),
+    # a boolean mask is not a list of ids 0 and 1
+    (lambda g, path: rv.Graph.from_arrays(3, np.array([False, True]), [1, 2]),
+     "edge endpoints must be integers"),
+    (lambda g, path: rv.induced_subgraph(g, np.array([False, False, True, True, True, False])),
+     "node ids must be integers"),
+    (lambda g, path: rv.partition_stats(g, [True] * 3 + [False] * 3),
+     "community ids must be integers"),
+    (lambda g, path: rv.write_communities(np.array([True, False]), path),
+     "community ids must be integers"),
 ], ids=["write-fractional", "write-strings", "induced-fractional", "stats-fractional",
         "stats-length", "split-fractional", "split-length", "split-negative",
-        "write-uint64-wraps", "stats-uint64-wraps", "split-uint64-wraps", "stats-float-overflows"])
+        "write-uint64-wraps", "stats-uint64-wraps", "split-uint64-wraps", "stats-float-overflows",
+        "arrays-boolean", "induced-boolean", "stats-boolean", "write-boolean"])
 def test_id_arrays_take_integers_only(two_triangles, tmp_path, call, message):
     # integral floats such as 2.0 pass, as in Graph.from_arrays; 0.5 is not truncated
     path = tmp_path / "c.communities"

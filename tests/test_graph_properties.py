@@ -94,7 +94,8 @@ def assert_movable_matches_oracle(g, init, gamma):
     sizes = np.bincount(init, minlength=g.n)
     kappas = np.bincount(init, weights=level[4], minlength=g.n)
     for min_gain in (_TOL * g.m, 0.0):
-        got = _movable(level, level[1].tolist(), init, sizes, kappas, gamma / (2.0 * g.m), min_gain)
+        got = np.concatenate(list(_movable(level, level[1].tolist(), init, sizes, kappas,
+                                           gamma / (2.0 * g.m), min_gain)))
         want = movable_direct(g.n, list(g.edges()), gamma, init.tolist(), min_gain)
         assert got.tolist() == [t is not None for t in want]
 
@@ -146,6 +147,29 @@ def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
             runs.append([(a.tolist(), moved) for a, moved in (first, second)]
                         + [rng.bit_generator.state])
         assert runs[0] == runs[1]
+
+
+def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):
+    # every node of the first phase starts alone, and the plateau fixture's
+    # first row already holds a move, so its certificate reads one chunk; the
+    # last phase, the certifying pass, is idle and must read every chunk
+    real = _modularity._movable
+    calls = []
+
+    def counted(*args):
+        calls.append([args, 0])
+        for mask in real(*args):
+            calls[-1][1] += 1
+            yield mask
+
+    monkeypatch.setattr(_modularity, "_CHUNK", 4)
+    monkeypatch.setattr(_modularity, "_movable", counted)
+    g, _ = rv.make_plateau_fixture(0)
+    assert g.n > _modularity._SKIP_LIMIT
+    rv.louvain_maximize(g, 1.0, seed=0)
+    assert calls[0][1] == 1
+    args, read = calls[-1]
+    assert read == len(list(real(*args))) > 1
 
 
 @settings(max_examples=200, deadline=None)

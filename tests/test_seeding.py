@@ -8,7 +8,7 @@ GRAPH = rv.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 EPPM = rv.ExtendedPpmParams([4, 4], np.full(8, 3.0), 0.2, [4.0, 4.0])
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
 @pytest.mark.parametrize("entry", [
     lambda s: rv.louvain_maximize(GRAPH, 1.0, seed=s),
     lambda s: rv.multiscale_detect(GRAPH, seed=s),
