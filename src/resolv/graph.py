@@ -127,7 +127,13 @@ def _check_node_count(n: int) -> int:
 def _merge_keys(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``keys`` in ascending order and the sum of ``w`` over each."""
     order = np.argsort(keys)
-    keys = keys[order]
+    return _merge_runs(keys[order], w, order)
+
+
+def _merge_runs(keys: np.ndarray, w: np.ndarray,
+                order=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """One key per run of equal adjacent ``keys``, and the sum of ``w[order]``
+    over each run; ``order`` puts ``w`` in the order of ``keys``."""
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     first = np.flatnonzero(first)
@@ -299,9 +305,9 @@ class Partition:
     m_r        : internal edge count per community (self-loops count once)
     m, n       : edge/node totals of the underlying graph
 
-    The inter-community counts behind ``m_rs`` and ``inter_pairs`` come from
-    the quotient graph: a ``Graph`` on the B communities built from the edges
-    between them on first use and cached.
+    ``m_rs`` sums one pair's edges straight from the inter-community edge
+    arrays. ``inter_pairs`` reads the quotient graph: a ``Graph`` on the B
+    communities built from the edges between them on first use and cached.
     """
 
     assignment: np.ndarray
@@ -323,7 +329,8 @@ class Partition:
             raise ValidationError("m_rs is defined for distinct communities; use m_r for internal edges")
         if not (0 <= r < self.B and 0 <= s < self.B):
             raise ValidationError("community id out of range")
-        return self._quotient.multiplicity(r, s)
+        cu, cv, w = self._cross
+        return int(w[(cu == r) & (cv == s)].sum() + w[(cu == s) & (cv == r)].sum())
 
     def inter_pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (r, s, count) for community pairs with at least one edge."""

@@ -19,21 +19,24 @@ no node moves certifies local optimality. On levels above _SKIP_LIMIT nodes
 a phase first checks in numpy, chunk by chunk, whether any node could move
 from its starting state; a phase in which none can is idle and ends without
 a Python visit, while any other phase runs its whole queue. Multiplicities
-and self-loops are honored throughout: a self-loop stays internal wherever
-its node goes, so it never enters a move gain, but it does count in Q and
-in aggregated super-node loops.
+and self-loops are honored throughout. The original graph's level lists a
+neighbour once per unit of multiplicity, so a visit there counts its links
+per community in C and reads no weights; aggregated levels list each
+neighbouring super-node once with a float weight. A self-loop stays internal
+wherever its node goes, so it never enters a move gain, but it does count in
+Q and in aggregated super-node loops.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from collections import deque
+from collections import _count_elements, deque
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, Partition, _check_partition, _merge_keys, partition_stats
+from .graph import Graph, Partition, _check_partition, _merge_keys, _merge_runs, partition_stats
 from .seeding import make_rng
 
 # largest graph that gets the chain-move refinement after greedy convergence
@@ -45,6 +48,9 @@ _TOL = 1e-12
 _SKIP_LIMIT = 64
 # CSR entries per chunk of the movability pass: ~0.4 MiB of temporaries
 _CHUNK = 4096
+# level 0's weights are slices of this read-only zero-stride view of 1.0;
+# a new np.broadcast_to per call took ~4 us of a ~24 us _csr on a 10-node graph
+_UNIT = np.broadcast_to(1.0, 1 << 59)
 
 
 def modularity(graph: Graph, partition: Partition, gamma: float) -> float:
@@ -160,7 +166,9 @@ def _chain_refine(level, gamma, check, assignment):
 
     Each node's link weights to neighbouring communities are built once per
     round and then kept up to date: a step touches only the moved node's
-    neighbours. Multiplicities are integers, so every link weight and kappa
+    neighbours. The per-node neighbour lists merge level 0's repeated entries
+    into one count per distinct neighbour, so a step touches each neighbour
+    once. Multiplicities are integers, so every link weight and kappa
     is an exactly represented integer-valued float and the updates are
     exact. A step scans its candidate targets from two ascending lists: the
     nonempty communities (``live``), and those plus the lowest empty one
@@ -170,9 +178,18 @@ def _chain_refine(level, gamma, check, assignment):
     n, indptr, nbr, wgt, degrees = level
     m = float(degrees.sum()) / 2.0
     k = degrees.tolist()
-    start, nbr, wgt = indptr.tolist(), nbr.tolist(), wgt.tolist()
-    adj = [list(zip(nbr[start[v]:start[v + 1]], wgt[start[v]:start[v + 1]]))
-           for v in range(n)]
+    start, nbr = indptr.tolist(), nbr.tolist()
+    # per node, (neighbour, link weight) for each distinct neighbour
+    if wgt.strides == (0,):  # level 0's unit rows: count each neighbour's repeats
+        adj = []
+        for v in range(n):
+            row: dict[int, int] = {}
+            _count_elements(row, nbr[start[v]:start[v + 1]])
+            adj.append(list(row.items()))
+    else:
+        wgt = wgt.tolist()
+        adj = [list(zip(nbr[start[v]:start[v + 1]], wgt[start[v]:start[v + 1]]))
+               for v in range(n)]
     coef = gamma / (2.0 * m)
 
     comm = np.asarray(assignment, dtype=np.int64)
@@ -267,7 +284,12 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     The per-node state lives in Python lists, since scalar indexing into
     numpy arrays dominates this loop. The CSR stays in numpy and each visit
     converts only its own slice: lists of the whole CSR took a 250k-edge
-    ``detect`` from 70 to 91 MiB peak RSS. The phase only reads ``level``;
+    ``detect`` from 70 to 91 MiB peak RSS. On level 0, whose rows repeat a
+    neighbour once per unit of multiplicity (see ``_csr``), a visit tallies
+    its neighbours' communities with ``collections._count_elements`` and
+    reads no weight slice; the integer counts are exact, so every gain and
+    tie is what summed float weights give. Aggregated levels sum their
+    weight slice in a Python loop. The phase only reads ``level``;
     louvain_maximize passes the same level-0 tuple to every cycle.
     """
     n, indptr, nbr, wgt, degrees = level
@@ -295,6 +317,7 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     queue = deque(order.tolist())
     # held through the loop, these raised a 250k-edge detect's peak RSS by ~1 MiB
     del order, sizes, kappas
+    unit = wgt.strides == (0,)  # level 0: one entry per unit of multiplicity
     while queue:
         i = queue.popleft()
         queued[i] = False
@@ -302,9 +325,13 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
         lo, hi = start[i], start[i + 1]
         nbrs = nbr[lo:hi].tolist()
         links: dict[int, float] = {}
-        for j, w in zip(nbrs, wgt[lo:hi].tolist()):
-            cj = comm[j]
-            links[cj] = links.get(cj, 0.0) + w
+        if unit:
+            # integer link counts, exact as floats; the tally runs in C
+            _count_elements(links, map(comm.__getitem__, nbrs))
+        else:
+            for j, w in zip(nbrs, wgt[lo:hi].tolist()):
+                cj = comm[j]
+                links[cj] = links.get(cj, 0.0) + w
         ki = k[i]
         comm_kappa[ci] -= ki
         stay = links.get(ci, 0.0) - coef * ki * comm_kappa[ci]
@@ -358,10 +385,12 @@ def _movable(level, start, comm, sizes, kappas, coef, min_gain):
     own, or detaching into an empty one while it has company, beats staying
     by more than ``min_gain``: the queue's accept rule, with its float
     operations in the same order. Each chunk's links are grouped by (row,
-    community) through ``graph._merge_keys``; link weights are sums of
-    integer multiplicities, hence exact in any order. The CSR is read in row
-    chunks of about _CHUNK entries, each only when its mask is asked for, so
-    a caller that stops at the first movable node reads no further.
+    community) through ``graph._merge_keys``, or, when every node is alone,
+    by summing each run of equal adjacent keys (``graph._merge_runs``): a
+    level-0 neighbour's repeated entries sit side by side. Link weights are
+    sums of integer multiplicities, hence exact in any order. The CSR is read
+    in row chunks of about _CHUNK entries, each only when its mask is asked
+    for, so a caller that stops at the first movable node reads no further.
     """
     n, indptr, nbr, wgt, degrees = level
     alone = sizes.max() == 1
@@ -371,14 +400,13 @@ def _movable(level, start, comm, sizes, kappas, coef, min_gain):
         r1 = max(bisect_right(start, start[r0] + _CHUNK) - 1, r0 + 1)
         lo, hi = start[r0], start[r1]
         row = np.arange(r1 - r0).repeat(indptr[r0 + 1:r1 + 1] - indptr[r0:r1])
-        c = comm[nbr[lo:hi]]
-        links = wgt[lo:hi]
-        if not alone:
-            # one group per (row, neighbour community). With every node alone
-            # the neighbours' communities are distinct, so each entry is its
-            # own group; that sort dominated a sweep's peak RSS growth.
-            key, links = _merge_keys(row * n + c, links)
-            row, c = np.divmod(key, n)
+        # one group per (row, neighbour community). With every node alone the
+        # neighbours' communities are distinct and a neighbour's repeats sit
+        # side by side, so each run of equal keys is a group; the sort a
+        # general merge needs dominated a sweep's peak RSS growth.
+        key, links = (_merge_runs if alone else _merge_keys)(
+            row * n + comm[nbr[lo:hi]], wgt[lo:hi])
+        row, c = np.divmod(key, n)
         ci, ki = comm[r0:r1], degrees[r0:r1]
         cki = coef * ki
         own = np.bincount(row, weights=links * (c == ci[row]), minlength=r1 - r0)
@@ -397,26 +425,30 @@ def _csr(graph: Graph):
     """The maximizer's view of ``graph``: a level tuple (n, indptr, nbr, wgt, degrees).
 
     Row i of the CSR (``nbr``/``wgt`` from ``indptr[i]`` to ``indptr[i + 1]``)
-    lists i's distinct neighbours with their multiplicities as floats: the
-    higher ones ascending, then the lower ones ascending, which is the order
-    a moved node requeues them in. Self-loops stay out of the rows, since they
-    never enter a move gain; they still count in the float ``degrees``, so a
-    level's loop weight is m - sum(wgt) / 2 with m = sum(degrees) / 2.
+    lists i's neighbours once per unit of multiplicity, a neighbour's repeats
+    side by side: the higher ones ascending, then the lower ones ascending,
+    which is the order a moved node requeues them in. ``wgt`` is a read-only
+    zero-stride view of 1.0, so the rows cost 4 bytes an entry and
+    ``_local_moving`` counts a node's links without reading weights.
+    Self-loops stay out of the rows, since they never enter a move gain; they
+    still count in the float ``degrees``, so a level's loop weight is
+    m - sum(wgt) / 2 with m = sum(degrees) / 2.
     """
     keep = graph.edge_u != graph.edge_v
-    u = graph.edge_u[keep].astype(np.int32)
-    v = graph.edge_v[keep].astype(np.int32)
-    return _rows(graph.n, u, v, graph.edge_w[keep], graph.degrees.astype(np.float64))
+    w = graph.edge_w[keep]
+    u = graph.edge_u[keep].astype(np.int32).repeat(w)
+    v = graph.edge_v[keep].astype(np.int32).repeat(w)
+    del keep, w  # the rows below set the peak
+    return _rows(graph.n, u, v, None, graph.degrees.astype(np.float64))
 
 
 def _aggregate(level, dense, b):
     """The level tuple whose b nodes are the communities ``dense`` of ``level``.
 
-    Equal to ``_csr`` of the graph that ``Graph.from_arrays`` would build on
-    the mapped edges, without building it: each edge between two communities
-    is taken once, from the CSR entry of its lower-community end, and parallel
-    ones are summed. Edges inside a community become loops, which only the
-    degrees keep.
+    Each edge between two communities is taken from the CSR entries of its
+    lower-community end, and parallel ones, repeated entries included, are
+    summed into one float weight per community pair. Edges inside a community
+    become loops, which only the degrees keep.
     """
     _, indptr, nbr, wgt, degrees = level
     dense = dense.astype(np.int32)
@@ -429,10 +461,12 @@ def _aggregate(level, dense, b):
 
 
 def _rows(n, u, v, w, degrees):
-    """Level tuple from distinct loop-free edges u < v sorted by (u, v).
+    """Level tuple from loop-free edges u < v sorted by (u, v).
 
     Row i holds first the edges where i is u, already in v order, then those
-    where i is v, put in u order by one stable sort on v.
+    where i is v, put in u order by one stable sort on v. ``w`` gives each
+    edge's float weight, for distinct edges; with ``w`` None every edge
+    weighs 1, an edge may repeat, and ``wgt`` is a slice of ``_UNIT``.
     """
     sides = np.empty(2 * n, dtype=np.int64)  # per row: u-side count, v-side count
     sides[0::2] = np.bincount(u, minlength=n)
@@ -440,15 +474,17 @@ def _rows(n, u, v, w, degrees):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sides[0::2] + sides[1::2], out=indptr[1:])
     nbr = np.empty(indptr[-1], dtype=np.int32)
-    wgt = np.empty(indptr[-1], dtype=np.float64)
+    wgt = _UNIT[:nbr.size] if w is None else np.empty(nbr.size)
     # a mask assignment fills its slots in ascending order
     u_side = np.repeat(np.arange(2 * n) % 2 == 0, sides)
     nbr[u_side] = v
-    wgt[u_side] = w
+    if w is not None:
+        wgt[u_side] = w
     order = np.argsort(v, kind="stable")
     np.logical_not(u_side, out=u_side)
     nbr[u_side] = u[order]
-    wgt[u_side] = w[order]
+    if w is not None:
+        wgt[u_side] = w[order]
     return n, indptr, nbr, wgt, degrees
 
 

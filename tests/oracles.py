@@ -134,6 +134,23 @@ def csr_rows(n: int, edges):
     return [h + lo for h, lo in zip(higher, lower)]
 
 
+def merged_level(n: int, edges):
+    """The maximizer's level tuple with one entry per distinct neighbour.
+
+    Returns (n, indptr, nbr, wgt, degrees): row i of ``nbr``/``wgt`` lists
+    ``csr_rows(n, edges)[i]``, each neighbour once with its multiplicity as a
+    float, and ``degrees`` are floats. This is the row format every level had
+    before level 0 listed a neighbour once per unit of multiplicity, and the
+    format aggregated levels keep.
+    """
+    rows = csr_rows(n, edges)
+    _, degrees = canonical_multigraph(n, edges)
+    indptr = np.array([0] + [len(row) for row in rows], dtype=np.int64).cumsum()
+    nbr = np.array([j for row in rows for j, _ in row], dtype=np.int32)
+    wgt = np.array([float(w) for row in rows for _, w in row], dtype=np.float64)
+    return n, indptr, nbr, wgt, np.array(degrees, dtype=np.float64)
+
+
 def sample_fast_reference(params, rng):
     """The fast block-model route as plain loops, for stream checks.
 

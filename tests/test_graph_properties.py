@@ -1,6 +1,7 @@
-"""Property tests: graph construction, partition tallies and the maximizer's
-movability pass against the plain-Python oracles in ``oracles.py``, plus
-exact identities of the merge gain and the agreement scores."""
+"""Property tests: graph construction, partition tallies, the maximizer's
+levels and its movability pass against the plain-Python oracles in
+``oracles.py``, plus exact identities of the merge gain and the agreement
+scores."""
 
 from __future__ import annotations
 
@@ -16,10 +17,11 @@ import pytest
 import resolv as rv
 from resolv.generators import _sample_fast
 from resolv.graph import split_communities
-from resolv.modularity import _TOL, _aggregate, _csr, _local_moving, _movable
+from resolv.modularity import (_TOL, _aggregate, _chain_refine, _csr, _local_moving, _movable,
+                               _scratch_q)
 from resolv.seeding import make_rng
-from oracles import (canonical_multigraph, community_counts, csr_rows, movable_direct,
-                     sample_fast_reference)
+from oracles import (canonical_multigraph, community_counts, csr_rows, merged_level,
+                     movable_direct, sample_fast_reference)
 
 _modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
 hypothesis = pytest.importorskip("hypothesis")
@@ -61,16 +63,18 @@ def assert_same_level(got, want):
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(), st.data())
 def test_level_builders_match_the_graph_path(case, data):
-    # the maximizer builds one CSR per call and aggregates CSR to CSR; every
-    # level must equal the CSR of the Graph that from_arrays would build,
-    # row order included, since the order drives the requeue
+    # the maximizer builds one CSR per call and aggregates CSR to CSR. Level 0
+    # lists each neighbour once per unit of multiplicity, each entry weighing
+    # 1.0; every aggregated level must equal the merged-row CSR of the Graph
+    # that from_arrays would build. Row order counts, since it drives the
+    # requeue
     n, edges = case
     g = rv.Graph.from_edges(n, edges)
     level = _csr(g)
     _, indptr, nbr, wgt, degrees = level
     rows = [list(zip(nbr[indptr[i]:indptr[i + 1]].tolist(), wgt[indptr[i]:indptr[i + 1]].tolist()))
             for i in range(n)]
-    assert rows == csr_rows(n, edges)
+    assert rows == [[(j, 1.0) for j, w in row for _ in range(w)] for row in csr_rows(n, edges)]
     assert degrees.tolist() == g.degrees.tolist()
     for _ in range(data.draw(st.integers(1, 3))):
         labels = np.array(data.draw(st.lists(st.integers(0, g.n - 1),
@@ -80,7 +84,7 @@ def test_level_builders_match_the_graph_path(case, data):
         b = int(dense.max()) + 1
         g = rv.Graph.from_arrays(b, dense[g.edge_u], dense[g.edge_v], g.edge_w)
         level = _aggregate(level, dense, b)
-        assert_same_level(level, _csr(g))
+        assert_same_level(level, merged_level(b, list(g.edges())))
         # check mode reads a level's loop weight as m - sum(wgt) / 2
         loops = int(g.edge_w[g.edge_u == g.edge_v].sum())
         assert level[4].sum() / 2 - level[3].sum() / 2 == loops
@@ -88,16 +92,16 @@ def test_level_builders_match_the_graph_path(case, data):
 
 def assert_movable_matches_oracle(g, init, gamma):
     # the numpy pass must name exactly the nodes the queue would move if it
-    # visited them first; with no tolerance exact ties are common, so > and
-    # >= differ
-    level = _csr(g)
+    # visited them first, on level 0's unit rows and on merged weighted rows
+    # alike; with no tolerance exact ties are common, so > and >= differ
     sizes = np.bincount(init, minlength=g.n)
-    kappas = np.bincount(init, weights=level[4], minlength=g.n)
-    for min_gain in (_TOL * g.m, 0.0):
-        got = np.concatenate(list(_movable(level, level[1].tolist(), init, sizes, kappas,
-                                           gamma / (2.0 * g.m), min_gain)))
-        want = movable_direct(g.n, list(g.edges()), gamma, init.tolist(), min_gain)
-        assert got.tolist() == [t is not None for t in want]
+    kappas = np.bincount(init, weights=g.degrees, minlength=g.n)
+    for level in (_csr(g), merged_level(g.n, list(g.edges()))):
+        for min_gain in (_TOL * g.m, 0.0):
+            got = np.concatenate(list(_movable(level, level[1].tolist(), init, sizes, kappas,
+                                               gamma / (2.0 * g.m), min_gain)))
+            want = movable_direct(g.n, list(g.edges()), gamma, init.tolist(), min_gain)
+            assert got.tolist() == [t is not None for t in want]
 
 
 @pytest.mark.parametrize("edges, init, gamma", [
@@ -108,7 +112,10 @@ def assert_movable_matches_oracle(g, init, gamma):
     # node 0 gains 2 - gamma by joining {1, 2}, while either of its two
     # links alone would give 1 - gamma
     ([(0, 1), (0, 2)], [0, 1, 1], 1.5),
-], ids=["join-tie", "detach-tie", "links-summed"])
+    # every node alone: node 0 gains 2 - gamma by joining 1 over their double
+    # edge, while one of level 0's two unit entries alone would give 1 - gamma
+    ([(0, 1, 2)], [0, 1], 1.5),
+], ids=["join-tie", "detach-tie", "links-summed", "repeats-summed"])
 def test_movability_pass_on_fixed_cases(edges, init, gamma):
     g = rv.Graph.from_edges(len(init), edges)
     assert_movable_matches_oracle(g, np.array(init), gamma)
@@ -147,6 +154,41 @@ def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
             runs.append([(a.tolist(), moved) for a, moved in (first, second)]
                         + [rng.bit_generator.state])
         assert runs[0] == runs[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=12, max_edges=30), st.data())
+def test_unit_level_zero_agrees_with_merged_rows(case, data):
+    # level 0 lists a neighbour once per unit of multiplicity and counts its
+    # links without reading weights; a phase, the chain polish, Q and the
+    # aggregate must all come out as on the merged rows with float
+    # multiplicities, random stream included
+    n, edges = case
+    g = rv.Graph.from_edges(n, edges)
+    assume(g.m > 0)
+    unit, merged = _csr(g), merged_level(n, list(g.edges()))
+    init = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+                              | st.permutations(range(n))))
+    gamma = data.draw(st.floats(math.log(0.05), math.log(60.0)).map(math.exp))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    with pytest.MonkeyPatch.context() as mp:
+        for limit in (float("inf"), 0):
+            mp.setattr(_modularity, "_SKIP_LIMIT", limit)
+            runs = []
+            for level in (unit, merged):
+                rng = make_rng(seed)
+                first = _local_moving(level, gamma, rng, False, init)
+                second = _local_moving(level, gamma, rng, False, first[0])
+                runs.append([(a.tolist(), moved) for a, moved in (first, second)]
+                            + [rng.bit_generator.state])
+            assert runs[0] == runs[1]
+    (got, got_kept), (want, want_kept) = (_chain_refine(level, gamma, False, init)
+                                          for level in (unit, merged))
+    assert (got.tolist(), got_kept) == (want.tolist(), want_kept)
+    assert _scratch_q(unit, init, gamma) == _scratch_q(merged, init, gamma)
+    dense = np.unique(init, return_inverse=True)[1]
+    b = int(dense.max()) + 1
+    assert_same_level(_aggregate(unit, dense, b), _aggregate(merged, dense, b))
 
 
 def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):
@@ -189,6 +231,24 @@ def test_partition_stats_matches_per_edge_count(case, data):
         for s in range(r + 1, p.B):
             assert p.m_rs(r, s) == p.m_rs(s, r) == m_rs.get((r, s), 0)
     assert {(r, s): c for r, s, c in p.inter_pairs()} == m_rs
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=30, max_edges=60), st.data())
+def test_m_rs_matches_per_edge_count_without_the_quotient(case, data):
+    # m_rs answers one pair from the inter-community edge arrays; only
+    # inter_pairs builds the quotient graph
+    n, edges = case
+    labels = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    p = rv.partition_stats(rv.Graph.from_edges(n, edges), labels)
+    _, m_rs, _ = community_counts(edges, p.assignment.tolist())
+    for r in range(p.B):
+        for s in range(p.B):
+            if r != s:
+                got = p.m_rs(r, s)
+                assert type(got) is int
+                assert got == m_rs.get((min(r, s), max(r, s)), 0)
+    assert "_quotient" not in vars(p)
 
 
 @settings(max_examples=200, deadline=None)
