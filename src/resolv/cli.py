@@ -31,8 +31,7 @@ from .graph import (Graph, _utf8_text, load_communities, load_edge_list,
 from .metrics import ContingencyTable, ari, f_measure, nmi
 from .modularity import louvain_maximize, modularity
 from .multiscale import multiscale_detect
-from .resolution import (estimate_density_matrix, fit_extended_ppm, fit_ppm,
-                         resolution_interval)
+from .resolution import estimate_density_matrix, fit_ppm, resolution_interval
 from .seeding import _check_seed, derive_seed
 
 EXIT_OK = 0
@@ -241,9 +240,9 @@ def cmd_bounds(args) -> int:
         fit = fit_ppm(graph, part)
         report["ppm_fit"] = dataclasses.asdict(fit)
         report["gamma_mle"] = fit.gamma_mle
-        ext = fit_extended_ppm(graph, part)
-        report["extended_fit"] = {"omega_out": ext.omega_out,
-                                  "omega_diag": ext.omega_diag.tolist()}
+        # fit_extended_ppm's fields: this fit's omega_out, the within-densities
+        report["extended_fit"] = {"omega_out": fit.omega_out,
+                                  "omega_diag": density.diagonal().tolist()}
     # the CSV rows are B² tuples: made one at a time, and only for CSV output
     _emit(report, args.format, args.out, flat=_flatten_bounds(report))
     return EXIT_OK

@@ -1,10 +1,11 @@
 """Undirected multigraph container, edge-list I/O, and partition statistics.
 
 Every graph comes from one builder, ``Graph.from_arrays``: loaded edge
-lists, sampled graphs, induced subgraphs and the quotient graph a
-``Partition`` builds on first read. The Louvain maximizer works on CSR
-arrays instead: it builds one from its input graph and aggregates each
-level from the previous level's arrays (see ``modularity._csr``).
+lists, sampled graphs and induced subgraphs. Pairs are counted one way,
+by ``_merge_keys``: the builder's parallel edges and a ``Partition``'s
+inter-community pairs alike. The Louvain maximizer works on CSR arrays
+instead: it builds one from its input graph and aggregates each level
+from the previous level's arrays (see ``modularity._csr``).
 
 Conventions used everywhere downstream:
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -305,9 +305,8 @@ class Partition:
     m_r        : internal edge count per community (self-loops count once)
     m, n       : edge/node totals of the underlying graph
 
-    ``m_rs`` sums one pair's edges straight from the inter-community edge
-    arrays. ``inter_pairs`` reads the quotient graph: a ``Graph`` on the B
-    communities built from the edges between them on first use and cached.
+    ``m_rs`` sums one pair's edges and ``inter_pairs`` merges every pair's,
+    both straight from the inter-community edge arrays; nothing is cached.
     """
 
     assignment: np.ndarray
@@ -319,10 +318,6 @@ class Partition:
     n: int
     _cross: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
-    @cached_property
-    def _quotient(self) -> Graph:
-        return Graph.from_arrays(self.B, *self._cross)
-
     def m_rs(self, r: int, s: int) -> int:
         """Edge count between distinct communities r and s."""
         if r == s:
@@ -333,8 +328,12 @@ class Partition:
         return int(w[(cu == r) & (cv == s)].sum() + w[(cu == s) & (cv == r)].sum())
 
     def inter_pairs(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (r, s, count) for community pairs with at least one edge."""
-        yield from self._quotient.edges()
+        """Yield (r, s, count) for community pairs with at least one edge,
+        r < s, in increasing (r, s) order."""
+        cu, cv, w = self._cross
+        keys, counts = _merge_keys(np.minimum(cu, cv) * self.B + np.maximum(cu, cv), w)
+        lo, hi = np.divmod(keys, self.B)
+        yield from zip(lo.tolist(), hi.tolist(), counts.tolist())
 
 
 def partition_stats(graph: Graph, assignment) -> Partition:

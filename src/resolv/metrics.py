@@ -4,6 +4,9 @@ All three accept node->community mappings with arbitrary hashable labels
 on both sides. Nodes present in only one mapping are dropped; the counts
 of dropped nodes ride along on the contingency table so callers can report
 them. Scores are invariant under community relabeling.
+
+The scores read only the table's nonzero cells, so their cost grows with the
+shared nodes, not with the product of the two community counts.
 """
 
 from __future__ import annotations
@@ -14,13 +17,23 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from .errors import ValidationError
+from .graph import _merge_keys
 
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Joint community-membership counts over the shared node set."""
+    """Joint community-membership counts over the shared node set.
 
-    counts: np.ndarray
+    Only the nonzero cells are kept, as parallel arrays in row-major order:
+    ``count[i]`` nodes lie in row community ``row[i]`` and column community
+    ``col[i]``. Rows and columns number the labels in order of first
+    appearance among the shared nodes, as ``row_labels`` and ``col_labels``
+    list them.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    count: np.ndarray
     row_labels: tuple
     col_labels: tuple
     n: int
@@ -35,16 +48,16 @@ class ContingencyTable:
             raise ValidationError("the two partitions share no nodes")
         row_index: dict = {}
         col_index: dict = {}
-        cells: dict[tuple[int, int], int] = {}
-        for node in common:
-            r = row_index.setdefault(left[node], len(row_index))
-            c = col_index.setdefault(right[node], len(col_index))
-            cells[(r, c)] = cells.get((r, c), 0) + 1
-        counts = np.zeros((len(row_index), len(col_index)), dtype=np.int64)
-        for (r, c), v in cells.items():
-            counts[r, c] = v
+        rows = [row_index.setdefault(left[node], len(row_index)) for node in common]
+        cols = [col_index.setdefault(right[node], len(col_index)) for node in common]
+        # one key per cell, row-major: sorting groups a cell's nodes
+        keys = np.asarray(rows, dtype=np.int64) * len(col_index) + cols
+        keys, count = _merge_keys(keys, np.ones(keys.size, dtype=np.int64))
+        row, col = np.divmod(keys, len(col_index))
         return cls(
-            counts=counts,
+            row=row,
+            col=col,
+            count=count,
             row_labels=tuple(row_index),
             col_labels=tuple(col_index),
             n=len(common),
@@ -54,11 +67,11 @@ class ContingencyTable:
 
     @property
     def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
+        return np.bincount(self.row, self.count, len(self.row_labels)).astype(np.int64)
 
     @property
     def col_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
+        return np.bincount(self.col, self.count, len(self.col_labels)).astype(np.int64)
 
 
 def nmi(left: Mapping, right: Mapping) -> float:
@@ -69,25 +82,19 @@ def nmi(left: Mapping, right: Mapping) -> float:
     Two single-community partitions agree trivially and also score 1.0.
     """
     table = ContingencyTable.from_assignments(left, right)
-    counts = table.counts
     n = float(table.n)
-    if _is_permutation(counts):
+    # every row and column holds a cell, so as many cells as rows and as
+    # columns means one cell in each: a relabeling
+    if table.count.size == len(table.row_labels) == len(table.col_labels):
         return 1.0
     pi = table.row_totals / n
     pj = table.col_totals / n
     h_left = float(-np.sum(pi * np.log(pi, where=pi > 0, out=np.zeros_like(pi))))
     h_right = float(-np.sum(pj * np.log(pj, where=pj > 0, out=np.zeros_like(pj))))
-    pij = counts / n
-    outer = pi[:, None] * pj[None, :]
-    nz = pij > 0
-    info = float(np.sum(pij[nz] * np.log(pij[nz] / outer[nz])))
+    pij = table.count / n
+    info = float(np.sum(pij * np.log(pij / (pi[table.row] * pj[table.col]))))
     value = 2.0 * info / (h_left + h_right)
     return min(max(value, 0.0), 1.0)
-
-
-def _is_permutation(counts: np.ndarray) -> bool:
-    return bool(((counts > 0).sum(axis=0) == 1).all()
-                and ((counts > 0).sum(axis=1) == 1).all())
 
 
 def ari(left: Mapping, right: Mapping) -> float:
@@ -99,12 +106,13 @@ def ari(left: Mapping, right: Mapping) -> float:
     """
     table = ContingencyTable.from_assignments(left, right)
 
-    def comb2(x: int) -> int:
+    def comb2(x):
         return x * (x - 1) // 2
 
-    sum_cells = sum(comb2(int(v)) for v in table.counts.ravel() if v > 1)
-    sum_rows = sum(comb2(int(v)) for v in table.row_totals)
-    sum_cols = sum(comb2(int(v)) for v in table.col_totals)
+    # summed in int64: each sum is at most comb2(n) < 2**63
+    sum_cells = int(np.sum(comb2(table.count)))
+    sum_rows = int(np.sum(comb2(table.row_totals)))
+    sum_cols = int(np.sum(comb2(table.col_totals)))
     total = comb2(table.n)
     # ARI = (index - expected) / (max - expected), scaled by 2*total to stay integral
     numer = 2 * total * sum_cells - 2 * sum_rows * sum_cols
@@ -124,7 +132,7 @@ def f_measure(detected: Mapping, reference: Mapping, top_k: int | None = None) -
     ``detected``); omitting it compares against every reference community.
     """
     table = ContingencyTable.from_assignments(detected, reference)
-    cols = np.arange(len(table.col_labels))
+    cells = slice(None)
     if top_k is not None:
         if top_k < 1:
             raise ValidationError("top_k must be >= 1")
@@ -134,11 +142,13 @@ def f_measure(detected: Mapping, reference: Mapping, top_k: int | None = None) -
         col_pos = {label: i for i, label in enumerate(table.col_labels)}
         ranked = [col_pos[label] for label in dict.fromkeys(reference.values())
                   if label in col_pos]
-        cols = np.asarray(ranked[:top_k], dtype=np.int64)
-    counts = table.counts[:, cols].astype(np.float64)
+        cells = np.isin(table.col, ranked[:top_k])
     row = table.row_totals.astype(np.float64)
-    col = table.col_totals[cols].astype(np.float64)
-    f1 = 2.0 * counts / (row[:, None] + col[None, :])
-    best = f1.max(axis=1)
+    col = table.col_totals.astype(np.float64)
+    r, c = table.row[cells], table.col[cells]
+    f1 = 2.0 * table.count[cells] / (row[r] + col[c])
+    # a row without an eligible cell shares no node with an eligible column
+    best = np.zeros(row.size)
+    np.maximum.at(best, r, f1)
     # divide by n once so a perfect match sums to exactly 1.0
     return float(np.sum(row * best) / table.n)

@@ -156,7 +156,8 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
 
 
 def _chain_refine(level, gamma, check, assignment):
-    """Kernighan-Lin style rounds on the original graph's CSR ``level``.
+    """Kernighan-Lin style rounds on ``level``, the original graph's level-0
+    CSR, whose rows list a neighbour once per parallel edge (see ``_csr``).
 
     Each round greedily chains single-node moves with the moved node locked
     afterwards, tracking Q along the chain; steps may go downhill. If the
@@ -175,21 +176,17 @@ def _chain_refine(level, gamma, check, assignment):
     (``with_fresh``). A node alone in its community gains nothing by
     detaching, so it scans ``live``; every other node scans ``with_fresh``.
     """
-    n, indptr, nbr, wgt, degrees = level
+    n, indptr, nbr, _, degrees = level
     m = float(degrees.sum()) / 2.0
     k = degrees.tolist()
     start, nbr = indptr.tolist(), nbr.tolist()
-    # per node, (neighbour, link weight) for each distinct neighbour
-    if wgt.strides == (0,):  # level 0's unit rows: count each neighbour's repeats
-        adj = []
-        for v in range(n):
-            row: dict[int, int] = {}
-            _count_elements(row, nbr[start[v]:start[v + 1]])
-            adj.append(list(row.items()))
-    else:
-        wgt = wgt.tolist()
-        adj = [list(zip(nbr[start[v]:start[v + 1]], wgt[start[v]:start[v + 1]]))
-               for v in range(n)]
+    # per node, (neighbour, link weight) for each distinct neighbour: the
+    # count of its repeats in the row
+    adj = []
+    for v in range(n):
+        row: dict[int, int] = {}
+        _count_elements(row, nbr[start[v]:start[v + 1]])
+        adj.append(list(row.items()))
     coef = gamma / (2.0 * m)
 
     comm = np.asarray(assignment, dtype=np.int64)

@@ -101,6 +101,76 @@ def ari_paircount(left: dict, right: dict) -> float:
     return numer / denom
 
 
+def dense_contingency(left: dict, right: dict):
+    """(counts, col_labels): the B_left x B_right int64 table of shared nodes.
+
+    Rows and columns number the labels in order of first appearance among
+    the nodes of ``left`` that ``right`` also holds.
+    """
+    rows: dict = {}
+    cols: dict = {}
+    cells: Counter = Counter()
+    for node in left:
+        if node in right:
+            cells[rows.setdefault(left[node], len(rows)),
+                  cols.setdefault(right[node], len(cols))] += 1
+    counts = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for (r, c), v in cells.items():
+        counts[r, c] = v
+    return counts, list(cols)
+
+
+def nmi_dense(left: dict, right: dict) -> float:
+    """NMI from the dense table, whole-array formulas; 1.0 when every row and
+    every column holds exactly one nonzero cell."""
+    counts, _ = dense_contingency(left, right)
+    n = float(counts.sum())
+    if ((counts > 0).sum(axis=0) == 1).all() and ((counts > 0).sum(axis=1) == 1).all():
+        return 1.0
+    pi = counts.sum(axis=1) / n
+    pj = counts.sum(axis=0) / n
+    h_left = float(-np.sum(pi * np.log(pi, where=pi > 0, out=np.zeros_like(pi))))
+    h_right = float(-np.sum(pj * np.log(pj, where=pj > 0, out=np.zeros_like(pj))))
+    pij = counts / n
+    outer = pi[:, None] * pj[None, :]
+    nz = pij > 0
+    info = float(np.sum(pij[nz] * np.log(pij[nz] / outer[nz])))
+    return min(max(2.0 * info / (h_left + h_right), 0.0), 1.0)
+
+
+def ari_dense(left: dict, right: dict) -> float:
+    """ARI from the dense table, one Python int per cell, row and column."""
+    counts, _ = dense_contingency(left, right)
+
+    def comb2(x: int) -> int:
+        return x * (x - 1) // 2
+
+    sum_cells = sum(comb2(int(v)) for v in counts.ravel() if v > 1)
+    sum_rows = sum(comb2(int(v)) for v in counts.sum(axis=1))
+    sum_cols = sum(comb2(int(v)) for v in counts.sum(axis=0))
+    total = comb2(int(counts.sum()))
+    numer = 2 * total * sum_cells - 2 * sum_rows * sum_cols
+    denom = total * (sum_rows + sum_cols) - 2 * sum_rows * sum_cols
+    return 1.0 if denom == 0 else numer / denom
+
+
+def f_measure_dense(detected: dict, reference: dict, top_k=None) -> float:
+    """Best-match F1 from the dense table: every row against every eligible
+    column, the first ``top_k`` columns in order of first appearance in
+    ``reference`` (all of them when ``top_k`` is None)."""
+    counts, col_labels = dense_contingency(detected, reference)
+    cols = np.arange(len(col_labels))
+    if top_k is not None:
+        col_pos = {label: i for i, label in enumerate(col_labels)}
+        ranked = [col_pos[label] for label in dict.fromkeys(reference.values())
+                  if label in col_pos]
+        cols = np.asarray(ranked[:top_k], dtype=np.int64)
+    row = counts.sum(axis=1).astype(np.float64)
+    col = counts.sum(axis=0)[cols].astype(np.float64)
+    f1 = 2.0 * counts[:, cols].astype(np.float64) / (row[:, None] + col[None, :])
+    return float(np.sum(row * f1.max(axis=1)) / int(counts.sum()))
+
+
 def canonical_multigraph(n: int, edges):
     """Merged (u, v) -> multiplicity with u <= v, and the degree list.
 

@@ -5,6 +5,7 @@ scores."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import math
 import random
@@ -20,8 +21,9 @@ from resolv.graph import split_communities
 from resolv.modularity import (_TOL, _aggregate, _chain_refine, _csr, _local_moving, _movable,
                                _scratch_q)
 from resolv.seeding import make_rng
-from oracles import (canonical_multigraph, community_counts, csr_rows, merged_level,
-                     movable_direct, sample_fast_reference)
+from oracles import (ari_dense, canonical_multigraph, chain_refine_direct, community_counts,
+                     csr_rows, f_measure_dense, merged_level, movable_direct, nmi_dense,
+                     sample_fast_reference)
 
 _modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
 hypothesis = pytest.importorskip("hypothesis")
@@ -160,9 +162,10 @@ def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
 @given(multigraphs(max_n=12, max_edges=30), st.data())
 def test_unit_level_zero_agrees_with_merged_rows(case, data):
     # level 0 lists a neighbour once per unit of multiplicity and counts its
-    # links without reading weights; a phase, the chain polish, Q and the
-    # aggregate must all come out as on the merged rows with float
-    # multiplicities, random stream included
+    # links without reading weights; a phase, Q and the aggregate must all
+    # come out as on the merged rows with float multiplicities, random stream
+    # included. The chain polish reads level 0 only, so it is held to the
+    # oracle that recounts links from the edge list
     n, edges = case
     g = rv.Graph.from_edges(n, edges)
     assume(g.m > 0)
@@ -182,9 +185,9 @@ def test_unit_level_zero_agrees_with_merged_rows(case, data):
                 runs.append([(a.tolist(), moved) for a, moved in (first, second)]
                             + [rng.bit_generator.state])
             assert runs[0] == runs[1]
-    (got, got_kept), (want, want_kept) = (_chain_refine(level, gamma, False, init)
-                                          for level in (unit, merged))
-    assert (got.tolist(), got_kept) == (want.tolist(), want_kept)
+    got, got_kept = _chain_refine(unit, gamma, False, init)
+    assert (got.tolist(), got_kept) == chain_refine_direct(n, list(g.edges()), gamma, _TOL,
+                                                           init.tolist())
     assert _scratch_q(unit, init, gamma) == _scratch_q(merged, init, gamma)
     dense = np.unique(init, return_inverse=True)[1]
     b = int(dense.max()) + 1
@@ -230,14 +233,17 @@ def test_partition_stats_matches_per_edge_count(case, data):
     for r in range(p.B):
         for s in range(r + 1, p.B):
             assert p.m_rs(r, s) == p.m_rs(s, r) == m_rs.get((r, s), 0)
-    assert {(r, s): c for r, s, c in p.inter_pairs()} == m_rs
+    pairs = list(p.inter_pairs())
+    assert {(r, s): c for r, s, c in pairs} == m_rs
+    # a numpy int would pass the dict comparison above
+    assert all(type(x) is int for triple in pairs for x in triple)
 
 
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(max_n=30, max_edges=60), st.data())
 def test_m_rs_matches_per_edge_count_without_the_quotient(case, data):
-    # m_rs answers one pair from the inter-community edge arrays; only
-    # inter_pairs builds the quotient graph
+    # m_rs answers one pair from the inter-community edge arrays, and
+    # neither it nor inter_pairs keeps anything on the partition
     n, edges = case
     labels = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
     p = rv.partition_stats(rv.Graph.from_edges(n, edges), labels)
@@ -248,7 +254,8 @@ def test_m_rs_matches_per_edge_count_without_the_quotient(case, data):
                 got = p.m_rs(r, s)
                 assert type(got) is int
                 assert got == m_rs.get((min(r, s), max(r, s)), 0)
-    assert "_quotient" not in vars(p)
+    assert list(p.inter_pairs()) == sorted((r, s, c) for (r, s), c in m_rs.items())
+    assert set(vars(p)) == {f.name for f in dataclasses.fields(p)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,6 +291,48 @@ def test_scores_exactly_invariant_under_community_renaming(data):
         assert score(renamed_left, right) == base
         assert score(left, renamed_right) == base
         assert score(renamed_left, renamed_right) == base
+
+
+@st.composite
+def label_pairs(draw):
+    """(left, right) label dicts on 1-300 nodes with 1-40 labels a side.
+
+    ``right`` labels its nodes independently, renames ``left``'s labels, or
+    merges them in pairs, so ``left`` refines it. Either side may hold nodes
+    the other lacks; the two always share a node.
+    """
+    n = draw(st.integers(1, 300))
+    left = draw(st.lists(st.integers(0, draw(st.integers(0, 39))), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["independent", "renamed", "merged"]))
+    if kind == "independent":
+        right = draw(st.lists(st.integers(0, draw(st.integers(0, 39))),
+                              min_size=n, max_size=n))
+    elif kind == "renamed":
+        names = draw(st.permutations(range(40)))
+        right = [f"r{names[c]}" for c in left]
+    else:
+        right = [c // 2 for c in left]
+    left_only = draw(st.integers(0, n - 1))
+    right_only = draw(st.integers(0, n - 1 - left_only))
+    extra = draw(st.lists(st.integers(0, 39), max_size=20))
+    return (dict(enumerate(left[:n - right_only])),
+            {**dict(list(enumerate(right))[left_only:]),
+             **{n + i: c for i, c in enumerate(extra)}})
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_pairs())
+@example(pair=({0: 0, 1: 1}, {0: "x", 1: "x"}))
+@example(pair=({0: 0, 1: 0, 2: 1, 3: 1}, {0: "x", 1: "x", 2: "y", 3: "z"}))
+def test_scores_equal_the_dense_formulas(pair):
+    # the scores read the nonzero cells only; the oracles fill the dense
+    # table and must give the same float, bit for bit, at every top_k
+    for a, b in (pair, pair[::-1]):
+        assert rv.nmi(a, b) == nmi_dense(a, b)
+        assert rv.ari(a, b) == ari_dense(a, b)
+        shared = len({b[node] for node in a if node in b})
+        for top_k in (None, *range(1, shared + 1)):
+            assert rv.f_measure(a, b, top_k) == f_measure_dense(a, b, top_k)
 
 
 def _oracle_subgraph(edges, keep):
