@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="writes PREFIX.communities and PREFIX.report.json")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("bounds", help="density matrix, valid-resolution interval, model fits")
+    p = sub.add_parser("bounds", help="community densities, valid-resolution interval, model fits")
     p.add_argument("--graph", required=True)
     p.add_argument("--communities", required=True)
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -229,7 +229,9 @@ def cmd_bounds(args) -> int:
     interval = resolution_interval(density)
     report = {
         "communities": part.B,
-        "density_matrix": density.values.tolist(),
+        "within": density.within.tolist(),
+        # linked pairs only, as [r, s, w_rs] rows with r < s in ascending order
+        "between": [[*rs, w] for rs, w in zip(density.pairs.tolist(), density.between.tolist())],
         "interval": {"lower": interval.lower, "upper": interval.upper,
                      "empty": interval.empty},
         "ppm_fit": None,
@@ -241,9 +243,9 @@ def cmd_bounds(args) -> int:
         report["ppm_fit"] = dataclasses.asdict(fit)
         report["gamma_mle"] = fit.gamma_mle
         # fit_extended_ppm's fields: this fit's omega_out, the within-densities
-        report["extended_fit"] = {"omega_out": fit.omega_out,
-                                  "omega_diag": density.diagonal().tolist()}
-    # the CSV rows are B² tuples: made one at a time, and only for CSV output
+        report["extended_fit"] = {"omega_out": fit.omega_out, "omega_diag": report["within"]}
+    # a CSV row per community and per linked pair: made one at a time, and
+    # only for CSV output
     _emit(report, args.format, args.out, flat=_flatten_bounds(report))
     return EXIT_OK
 
@@ -254,9 +256,10 @@ def _flatten_bounds(report) -> Iterator[tuple]:
     yield "interval_upper", report["interval"]["upper"]
     yield "interval_empty", report["interval"]["empty"]
     yield "gamma_mle", report["gamma_mle"]
-    for i, row in enumerate(report["density_matrix"]):
-        for j, value in enumerate(row):
-            yield f"density_{i}_{j}", value
+    for r, value in enumerate(report["within"]):
+        yield f"density_{r}_{r}", value
+    for r, s, value in report["between"]:
+        yield f"density_{r}_{s}", value
 
 
 def cmd_metrics(args) -> int:
@@ -286,7 +289,7 @@ def _emit(report, fmt, out_path, flat) -> None:
             fh.write("\n")
         else:
             fh.write("key,value\n")
-            fh.writelines(f"{k},{v}\n" for k, v in flat)  # row by row: a bounds CSV has B² rows
+            fh.writelines(f"{k},{v}\n" for k, v in flat)  # row by row: up to m bounds rows
 
 
 # A sweep cell is one maximizer call, and its score row stays in memory: a

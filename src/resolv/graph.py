@@ -330,10 +330,13 @@ class Partition:
     def inter_pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (r, s, count) for community pairs with at least one edge,
         r < s, in increasing (r, s) order."""
+        yield from zip(*(a.tolist() for a in self._inter_arrays()))
+
+    def _inter_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``inter_pairs`` as three int64 arrays: r, s and count."""
         cu, cv, w = self._cross
         keys, counts = _merge_keys(np.minimum(cu, cv) * self.B + np.maximum(cu, cv), w)
-        lo, hi = np.divmod(keys, self.B)
-        yield from zip(lo.tolist(), hi.tolist(), counts.tolist())
+        return (*np.divmod(keys, self.B), counts)
 
 
 def partition_stats(graph: Graph, assignment) -> Partition:

@@ -15,6 +15,11 @@ between-community density falls below it, which gives the valid interval
 
     [ max_{r != s} w_rs ,  min_r w_rr ].
 
+A pair with no edge between it has w_rs = 0, so the maximum runs over the
+linked pairs only, and it is 0 when there are none. Densities are kept in
+that sparse form: B within-densities and one between-density per linked
+pair.
+
 The interval can be empty: some between-density exceeds some
 within-density, and then no resolution recovers the pattern as given.
 That emptiness is a real property of the data, not a numerical accident,
@@ -34,22 +39,31 @@ from .graph import Graph, Partition, _check_partition
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Symmetric B x B matrix of relative edge densities."""
+    """Relative edge densities of a partition, held sparsely.
 
-    values: np.ndarray
+    within  : w_rr for each of the B communities
+    pairs   : P x 2 int64 array of the community pairs (r, s), r < s, that
+              share at least one edge, in ascending order
+    between : w_rs for each row of ``pairs``; every other pair's is 0
+    """
+
+    within: np.ndarray
+    pairs: np.ndarray
+    between: np.ndarray
 
     @property
-    def B(self) -> int:
-        return self.values.shape[0]
+    def values(self) -> np.ndarray:
+        """The symmetric B x B matrix, built anew on every read."""
+        vals = np.diag(self.within)
+        r, s = self.pairs.T
+        vals[r, s] = vals[s, r] = self.between
+        return vals
 
     def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.values)
+        return self.within
 
     def max_offdiagonal(self) -> float:
-        if self.B < 2:
-            return 0.0
-        off = self.values[~np.eye(self.B, dtype=bool)]
-        return float(off.max())
+        return float(self.between.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -87,29 +101,27 @@ class ExtendedPpmFit:
 
 
 def estimate_density_matrix(graph: Graph, partition: Partition) -> DensityMatrix:
-    """Relative edge densities for every community pair.
+    """Relative edge densities: one per community and one per linked pair.
 
-    Requires every community to carry degree; a zero-degree community has
-    no density estimate and is reported by id.
+    The between-densities come from the ``inter_pairs`` arrays in one array
+    expression, in O(B + linked pairs) time and memory. Requires every
+    community to carry degree; a zero-degree community has no density
+    estimate and is reported by id.
     """
     _check_partition(graph, partition, "density estimation")
+    within = _within_density(graph, partition)
     kap = partition.kappa_r.astype(np.float64)
-    B = partition.B
-    m = float(graph.m)
-    vals = np.zeros((B, B), dtype=np.float64)
-    np.fill_diagonal(vals, _within_density(graph, partition))
-    for r, s, c in partition.inter_pairs():
-        d = 2.0 * c * m / (kap[r] * kap[s])
-        vals[r, s] = d
-        vals[s, r] = d
-    return DensityMatrix(values=vals)
+    r, s, c = partition._inter_arrays()
+    return DensityMatrix(within=within, pairs=np.column_stack((r, s)),
+                         between=2.0 * c * float(graph.m) / (kap[r] * kap[s]))
 
 
 def resolution_interval(density: DensityMatrix) -> ResolutionInterval:
     """Valid-resolution interval read off a density matrix.
 
-    With a single community there is nothing to separate from; the interval
-    is [0, within-density] by convention.
+    With no linked pair (a single community, or communities with no edge
+    between them) there is no between-density to stay above; the lower end
+    is 0.
     """
     upper = float(density.diagonal().min())
     lower = density.max_offdiagonal()

@@ -304,6 +304,26 @@ def community_counts(edges, assignment):
     return dict(m_r), dict(m_rs), dict(kappa)
 
 
+def density_dense(n: int, edges, assignment):
+    """The B x B relative-density matrix as nested lists, pair by pair.
+
+    ``edges`` holds (u, v, multiplicity) tuples on ``n`` nodes, and
+    ``assignment`` gives every node a dense community id 0..B-1. Entry
+    (r, r) is 4 m m_r / kappa_r², entry (r, s) is 2 m m_rs / (kappa_r kappa_s),
+    and a pair with no edge between it reads 0.0. Every community must carry
+    degree and the graph at least one edge.
+    """
+    m_r, m_rs, kappa = community_counts(edges, assignment)
+    m = sum(w for _, _, w in edges)
+    B = max(assignment) + 1
+    dense = [[0.0] * B for _ in range(B)]
+    for r in range(B):
+        dense[r][r] = 4.0 * m * m_r.get(r, 0) / (kappa[r] * kappa[r])
+    for (r, s), c in m_rs.items():
+        dense[r][s] = dense[s][r] = 2.0 * c * m / (kappa[r] * kappa[s])
+    return dense
+
+
 def chain_refine_direct(n: int, edges, gamma: float, tol: float, assignment):
     """Kernighan-Lin chain rounds, as louvain_maximize documents them.
 

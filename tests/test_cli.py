@@ -231,7 +231,8 @@ def test_bounds_out_file_and_uncovered_node(tmp_path):
 
 def traced_ring_bounds(tmp_path, fmt):
     """tracemalloc peak of ``bounds --format fmt`` on 300 four-node cliques in
-    a ring, and the file it wrote; the B² CSV rows alone trace ~11 MiB."""
+    a ring, and the file it wrote; B² rows of a dense matrix alone would
+    trace ~11 MiB."""
     blocks, size = 300, 4
     edges = [(r * size + i, r * size + j)
              for r in range(blocks) for i in range(size) for j in range(i + 1, size)]
@@ -259,8 +260,19 @@ def test_bounds_csv_writes_its_rows_as_they_are_made(tmp_path):
     peak, out = traced_ring_bounds(tmp_path, "csv")
     lines = out.read_text().splitlines()
     assert lines[:2] == ["key,value", "communities,300"]
-    assert len(lines) == 1 + 5 + 300 * 300
+    assert len(lines) == 1 + 5 + 300 + 300
     assert peak < 8 * 2 ** 20
+
+
+def test_bounds_without_linked_pairs(tmp_path, capsys):
+    # two disjoint triangles: no between-density, so the interval starts at 0
+    graph_path = write_graph(tmp_path, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    truth = write_truth(tmp_path, {i: i // 3 for i in range(6)})
+    assert main(["bounds", "--graph", graph_path, "--communities", truth]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["between"] == []
+    assert report["within"] == [2.0, 2.0]
+    assert report["interval"] == {"lower": 0.0, "upper": 2.0, "empty": False}
 
 
 # ----------------------------------------------------------------- metrics

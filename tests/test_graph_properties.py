@@ -1,7 +1,7 @@
-"""Property tests: graph construction, partition tallies, the maximizer's
-levels and its movability pass against the plain-Python oracles in
-``oracles.py``, plus exact identities of the merge gain and the agreement
-scores."""
+"""Property tests: graph construction, partition tallies, the sparse
+densities, the maximizer's levels and its movability pass against the
+plain-Python oracles in ``oracles.py``, plus exact identities of the merge
+gain and the agreement scores."""
 
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from resolv.modularity import (_TOL, _aggregate, _chain_refine, _csr, _local_mov
                                _scratch_q)
 from resolv.seeding import make_rng
 from oracles import (ari_dense, canonical_multigraph, chain_refine_direct, community_counts,
-                     csr_rows, f_measure_dense, merged_level, movable_direct, nmi_dense,
-                     sample_fast_reference)
+                     csr_rows, density_dense, f_measure_dense, merged_level, movable_direct,
+                     nmi_dense, sample_fast_reference)
 
 _modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
 hypothesis = pytest.importorskip("hypothesis")
@@ -256,6 +256,36 @@ def test_m_rs_matches_per_edge_count_without_the_quotient(case, data):
                 assert got == m_rs.get((min(r, s), max(r, s)), 0)
     assert list(p.inter_pairs()) == sorted((r, s, c) for (r, s), c in m_rs.items())
     assert set(vars(p)) == {f.name for f in dataclasses.fields(p)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), st.data())
+def test_sparse_densities_match_the_dense_oracle(case, data):
+    # the package keeps B within-densities and one between-density per
+    # linked pair; the dense matrix and interval it implies must equal the
+    # pair-by-pair oracle exactly
+    n, edges = case
+    labels = data.draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
+    g = rv.Graph.from_edges(n, edges)
+    p = rv.partition_stats(g, labels)
+    assignment = p.assignment.tolist()
+    _, m_rs, kappa = community_counts(edges, assignment)
+    zero = [r for r in range(p.B) if not kappa.get(r)]
+    if g.m == 0 or zero:
+        message = "at least one edge" if g.m == 0 else f"community {zero[0]} has zero"
+        with pytest.raises(rv.ValidationError, match=message):
+            rv.estimate_density_matrix(g, p)
+        return
+    want = density_dense(n, edges, assignment)
+    d = rv.estimate_density_matrix(g, p)
+    assert d.values.tolist() == want
+    assert d.diagonal().tolist() == [want[r][r] for r in range(p.B)]
+    assert d.pairs.dtype == np.int64 and d.pairs.shape == (len(m_rs), 2)
+    assert [tuple(pair) for pair in d.pairs.tolist()] == sorted(m_rs)
+    iv = rv.resolution_interval(d)
+    assert iv.lower == max([want[r][s] for r in range(p.B) for s in range(p.B) if r != s],
+                           default=0.0)
+    assert iv.upper == min(want[r][r] for r in range(p.B))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,28 @@ def test_single_community_interval_starts_at_zero():
     assert iv.lower == 0.0
     assert iv.upper == pytest.approx(1.0 * 4 * 10 * 10 / 400, abs=1e-12)
     assert not iv.empty
+
+
+def test_density_matrix_allocates_nothing_quadratic():
+    # 3000 four-node cliques in a ring: 3000 linked pairs, where a dense
+    # B x B float matrix alone would take ~69 MiB
+    blocks, size = 3000, 4
+    i, j = np.triu_indices(size, 1)
+    base = np.repeat(np.arange(blocks) * size, i.size)
+    u = np.concatenate([base + np.tile(i, blocks), np.arange(blocks) * size])
+    v = np.concatenate([base + np.tile(j, blocks), (np.arange(blocks) + 1) % blocks * size + 1])
+    g = rv.Graph.from_arrays(blocks * size, u, v, np.ones(u.size, dtype=np.int64))
+    p = rv.partition_stats(g, np.arange(blocks * size) // size)
+    tracemalloc.start()
+    try:
+        d = rv.estimate_density_matrix(g, p)
+        iv = rv.resolution_interval(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.pairs.shape == (blocks, 2)
+    assert iv.lower == 2.0 * g.m / 14**2 and iv.upper == 4.0 * g.m * 6 / 14**2
+    assert peak < 8 * 2 ** 20
 
 
 def test_zero_degree_community_error_names_the_community():
