@@ -28,7 +28,7 @@ from .generators import (DcsbmParams, ExtendedPpmParams, make_clique,
                          sample_extended_ppm)
 from .graph import (Graph, _utf8_text, load_communities, load_edge_list,
                     partition_stats, write_communities, write_edge_list)
-from .metrics import ContingencyTable, ari, f_measure, nmi
+from .metrics import ContingencyTable, _ari, _f_measure, _nmi
 from .modularity import louvain_maximize, modularity
 from .multiscale import multiscale_detect
 from .resolution import estimate_density_matrix, fit_ppm, resolution_interval
@@ -266,10 +266,10 @@ def cmd_metrics(args) -> int:
     detected = load_communities(args.detected)
     truth = load_communities(args.truth)
     table = ContingencyTable.from_assignments(detected, truth)
-    report = {
-        "nmi": nmi(detected, truth),
-        "ari": ari(detected, truth),
-        "f_measure": f_measure(detected, truth, top_k=args.top_k),
+    report = {  # all three scores read the one table
+        "nmi": _nmi(table),
+        "ari": _ari(table),
+        "f_measure": _f_measure(table, truth, args.top_k),
         "dropped_nodes": {"detected_only": table.dropped_left,
                           "truth_only": table.dropped_right},
     }
@@ -352,9 +352,10 @@ def _sweep_cell(cell) -> dict:
     part = louvain_maximize(graph, gamma, seed=derive_seed(master_seed, gi, si))
     elapsed = time.perf_counter() - started
     detected = {labels[i]: int(c) for i, c in enumerate(part.assignment)}
+    table = ContingencyTable.from_assignments(detected, truth_map)
     return {
         "gamma": gamma, "seed_index": si,
-        "nmi": nmi(detected, truth_map), "ari": ari(detected, truth_map),
+        "nmi": _nmi(table), "ari": _ari(table),
         "communities": part.B,
         "q": modularity(graph, part, gamma),
         "seconds": elapsed,

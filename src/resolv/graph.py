@@ -3,7 +3,11 @@
 Every graph comes from one builder, ``Graph.from_arrays``: loaded edge
 lists, sampled graphs and induced subgraphs. Pairs are counted one way,
 by ``_merge_keys``: the builder's parallel edges and a ``Partition``'s
-inter-community pairs alike. The Louvain maximizer works on CSR arrays
+inter-community pairs alike. Keys of unit weight, which are every loaded
+or sampled edge, level 0's community pairs and the contingency cells of
+``metrics``, merge by an in-place sort that counts each key's run, so no
+stage from the load to ``partition_stats`` builds an edge-sized index
+array or an array of ones. The Louvain maximizer works on CSR arrays
 instead: it builds one from its input graph and aggregates each level
 from the previous level's arrays (see ``modularity._csr``).
 
@@ -18,6 +22,7 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -71,13 +76,13 @@ class Graph:
         _check_node_count(n)
         u = _int64(u, "edge endpoints")
         v = _int64(v, "edge endpoints")
-        w = np.ones(u.size, dtype=np.int64) if w is None else _int64(w, "edge multiplicities")
-        if not u.size == v.size == w.size:
+        w = None if w is None else _int64(w, "edge multiplicities")
+        if u.size != v.size or w is not None and w.size != u.size:
             raise ValidationError("edge arrays differ in length")
         if min(u.min(initial=0), v.min(initial=0)) < 0 or \
                 max(u.max(initial=-1), v.max(initial=-1)) >= n:
             raise ValidationError("edge endpoint outside 0..n-1")
-        if w.min(initial=1) < 1:
+        if w is not None and w.min(initial=1) < 1:
             raise ValidationError("edge multiplicity must be a positive integer")
         # one sortable key per canonical pair; sorting groups parallel edges
         keys = np.minimum(u, v)
@@ -85,7 +90,7 @@ class Graph:
         keys += np.maximum(u, v)
         del u, v  # the merge below sets the build's peak
         keys, w = _merge_keys(keys, w)
-        lo, hi = np.divmod(keys, max(n, 1))
+        lo, hi = np.divmod(keys, max(n, 1), out=(keys, None))  # lo in place of keys
         # a self-loop lands on its node from both ends: degree 2w
         degrees = (np.bincount(lo, weights=w, minlength=n)
                    + np.bincount(hi, weights=w, minlength=n)).astype(np.int64)
@@ -124,20 +129,31 @@ def _check_node_count(n: int) -> int:
     return n
 
 
-def _merge_keys(keys: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``keys`` in ascending order and the sum of ``w`` over each."""
+def _merge_keys(keys: np.ndarray, w: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order and the sum of ``w`` over each.
+
+    With ``w`` None every key weighs 1: ``keys`` is sorted in place and the
+    sums are int64 run lengths, so no index, gather or array of ones is built.
+    """
+    if w is None:
+        keys.sort()
+        return _merge_runs(keys, None)
     order = np.argsort(keys)
     return _merge_runs(keys[order], w, order)
 
 
-def _merge_runs(keys: np.ndarray, w: np.ndarray,
+def _merge_runs(keys: np.ndarray, w: np.ndarray | None,
                 order=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """One key per run of equal adjacent ``keys``, and the sum of ``w[order]``
-    over each run; ``order`` puts ``w`` in the order of ``keys``."""
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    return keys[first], np.add.reduceat(w[order], first)
+    over each run; ``order`` puts ``w`` in the order of ``keys``. With ``w``
+    None the sums are the int64 run lengths."""
+    # the run bounds: every run's start, then the end of the last run
+    bounds = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    first = bounds[:-1]
+    sums = bounds[1:] - first if w is None else np.add.reduceat(w[order], first)
+    return keys[first], sums
 
 
 def _int64(values, what: str) -> np.ndarray:
@@ -176,11 +192,14 @@ def load_edge_list(path) -> tuple[Graph, list[str]]:
     One edge per line ("u v"), '#' starts a comment line, duplicate lines
     accumulate multiplicity. Node labels are arbitrary tokens, relabeled to
     dense ids in order of first appearance; the label list is returned so
-    results can be written back in the original vocabulary.
+    results can be written back in the original vocabulary. The ids go into
+    int64 buffers, which ``Graph.from_arrays`` reads in place, and its unit
+    merge sorts the edge keys without an index array.
     """
     index: dict[str, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
+    # int64 buffers, which numpy reads in place: lists cost 8 bytes a
+    # reference here and a copy of the same size on conversion
+    us, vs = array("q"), array("q")
     with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
@@ -196,7 +215,8 @@ def load_edge_list(path) -> tuple[Graph, list[str]]:
             vs.append(index.setdefault(b, len(index)))
     if not us:
         raise ParseError(f"{path}: no edges found")
-    return Graph.from_arrays(len(index), us, vs), list(index)
+    return Graph.from_arrays(len(index), np.frombuffer(us, dtype=np.int64),
+                             np.frombuffer(vs, dtype=np.int64)), list(index)
 
 
 def write_edge_list(graph: Graph, path) -> None:
@@ -346,22 +366,30 @@ def partition_stats(graph: Graph, assignment) -> Partition:
     to dense ids 0..B-1 in increasing label order. The bookkeeping identities
     sum(m_r) + sum(m_rs) == m and sum(kappa_r) == 2m are asserted on
     every call.
+
+    Only the cross edges are gathered: m_r = (kappa_r - the cross-edge ends
+    in r) / 2, exact in integers, so the edges inside communities need no
+    arrays of their own.
     """
     a = _assignment(graph, assignment)
     labels, dense = np.unique(a, return_inverse=True)
     B = int(labels.size)
     cu = dense[graph.edge_u]
     cv = dense[graph.edge_v]
-    intra = cu == cv
+    cross = cu != cv
+    cu, cv, w = cu[cross], cv[cross], graph.edge_w[cross]
+    kappa = np.bincount(dense, weights=graph.degrees, minlength=B)
+    # kappa_r counts each edge inside r twice, loops too, and each cross edge once
+    ends = np.bincount(cu, weights=w, minlength=B) + np.bincount(cv, weights=w, minlength=B)
     p = Partition(
         assignment=dense,
         B=B,
         n_r=np.bincount(dense, minlength=B),
-        kappa_r=np.bincount(dense, weights=graph.degrees, minlength=B).astype(np.int64),
-        m_r=np.bincount(cu[intra], weights=graph.edge_w[intra], minlength=B).astype(np.int64),
+        kappa_r=kappa.astype(np.int64),
+        m_r=((kappa - ends) / 2).astype(np.int64),
         m=graph.m,
         n=graph.n,
-        _cross=(cu[~intra], cv[~intra], graph.edge_w[~intra]),
+        _cross=(cu, cv, w),
     )
     assert int(p.m_r.sum()) + int(p._cross[2].sum()) == graph.m
     assert int(p.kappa_r.sum()) == 2 * graph.m

@@ -50,9 +50,10 @@ class ContingencyTable:
         col_index: dict = {}
         rows = [row_index.setdefault(left[node], len(row_index)) for node in common]
         cols = [col_index.setdefault(right[node], len(col_index)) for node in common]
-        # one key per cell, row-major: sorting groups a cell's nodes
+        # one key per cell, row-major: sorting groups a cell's nodes, and
+        # each node counts 1
         keys = np.asarray(rows, dtype=np.int64) * len(col_index) + cols
-        keys, count = _merge_keys(keys, np.ones(keys.size, dtype=np.int64))
+        keys, count = _merge_keys(keys, None)
         row, col = np.divmod(keys, len(col_index))
         return cls(
             row=row,
@@ -81,7 +82,11 @@ def nmi(left: Mapping, right: Mapping) -> float:
     structure is detected directly rather than trusted to float division).
     Two single-community partitions agree trivially and also score 1.0.
     """
-    table = ContingencyTable.from_assignments(left, right)
+    return _nmi(ContingencyTable.from_assignments(left, right))
+
+
+def _nmi(table: ContingencyTable) -> float:
+    """``nmi`` from a table already built."""
     n = float(table.n)
     # every row and column holds a cell, so as many cells as rows and as
     # columns means one cell in each: a relabeling
@@ -104,8 +109,11 @@ def ari(left: Mapping, right: Mapping) -> float:
     the value can dip negative. Degenerate pairs (both all-singletons or
     both one-block) count as perfect agreement.
     """
-    table = ContingencyTable.from_assignments(left, right)
+    return _ari(ContingencyTable.from_assignments(left, right))
 
+
+def _ari(table: ContingencyTable) -> float:
+    """``ari`` from a table already built."""
     def comb2(x):
         return x * (x - 1) // 2
 
@@ -131,7 +139,11 @@ def f_measure(detected: Mapping, reference: Mapping, top_k: int | None = None) -
     appearance in ``reference`` are eligible (among those sharing a node with
     ``detected``); omitting it compares against every reference community.
     """
-    table = ContingencyTable.from_assignments(detected, reference)
+    return _f_measure(ContingencyTable.from_assignments(detected, reference), reference, top_k)
+
+
+def _f_measure(table: ContingencyTable, reference: Mapping, top_k: int | None) -> float:
+    """``f_measure`` from a table already built; ``reference`` ranks its columns."""
     cells = slice(None)
     if top_k is not None:
         if top_k < 1:

@@ -430,12 +430,15 @@ def _csr(graph: Graph):
     Self-loops stay out of the rows, since they never enter a move gain; they
     still count in the float ``degrees``, so a level's loop weight is
     m - sum(wgt) / 2 with m = sum(degrees) / 2.
+
+    The rows are built without an edge-sized index array: each edge's ends
+    are repeated by its multiplicity, a loop's 0 times, with no masked copy
+    of the edge arrays, and ``_rows`` orders the lower ends by an in-place sort.
     """
-    keep = graph.edge_u != graph.edge_v
-    w = graph.edge_w[keep]
-    u = graph.edge_u[keep].astype(np.int32).repeat(w)
-    v = graph.edge_v[keep].astype(np.int32).repeat(w)
-    del keep, w  # the rows below set the peak
+    reps = np.where(graph.edge_u != graph.edge_v, graph.edge_w, 0)
+    u = graph.edge_u.astype(np.int32).repeat(reps)
+    v = graph.edge_v.astype(np.int32).repeat(reps)
+    del reps  # the rows below set the peak
     return _rows(graph.n, u, v, None, graph.degrees.astype(np.float64))
 
 
@@ -446,14 +449,23 @@ def _aggregate(level, dense, b):
     lower-community end, and parallel ones, repeated entries included, are
     summed into one float weight per community pair. Edges inside a community
     become loops, which only the degrees keep.
+
+    The pair keys are built in place, and the per-entry community arrays are
+    freed before the merge. Level 0's entries weigh 1 each, so its merge sorts
+    the keys in place and counts each pair's run (``graph._merge_keys`` with
+    no weights); aggregated levels merge their float weights.
     """
     _, indptr, nbr, wgt, degrees = level
     dense = dense.astype(np.int32)
     src = np.repeat(dense, indptr[1:] - indptr[:-1])
     dst = dense[nbr]
     up = src < dst
-    keys, w = _merge_keys(src[up].astype(np.int64) * b + dst[up], wgt[up])
-    u, v = np.divmod(keys, b)
+    keys = np.multiply(src[up], b, dtype=np.int64)
+    keys += dst[up]
+    w = None if wgt.strides == (0,) else wgt[up]  # level 0's merge counts repeats
+    del src, dst, up  # the merge below would add to their peak
+    keys, w = _merge_keys(keys, w)
+    u, v = np.divmod(keys, b, out=(keys, None))
     return _rows(b, u, v, w, np.bincount(dense, weights=degrees, minlength=b))
 
 
@@ -461,9 +473,11 @@ def _rows(n, u, v, w, degrees):
     """Level tuple from loop-free edges u < v sorted by (u, v).
 
     Row i holds first the edges where i is u, already in v order, then those
-    where i is v, put in u order by one stable sort on v. ``w`` gives each
-    edge's float weight, for distinct edges; with ``w`` None every edge
-    weighs 1, an edge may repeat, and ``wgt`` is a slice of ``_UNIT``.
+    where i is v, in u order. ``w`` gives each edge's weight, for distinct
+    edges, and a stable argsort on v carries the weights along; with ``w``
+    None every edge weighs 1, an edge may repeat, ``wgt`` is a slice of
+    ``_UNIT``, and the keys v * n + u sorted in place give the u order with
+    no index array.
     """
     sides = np.empty(2 * n, dtype=np.int64)  # per row: u-side count, v-side count
     sides[0::2] = np.bincount(u, minlength=n)
@@ -475,11 +489,19 @@ def _rows(n, u, v, w, degrees):
     # a mask assignment fills its slots in ascending order
     u_side = np.repeat(np.arange(2 * n) % 2 == 0, sides)
     nbr[u_side] = v
-    if w is not None:
+    if w is None:
+        # equal keys are repeats of one edge, so this puts the lower ends in
+        # the order a stable sort on v would
+        low = np.multiply(v, n, dtype=np.int64)
+        low += u
+        low.sort()
+        low %= n
+    else:
         wgt[u_side] = w
-    order = np.argsort(v, kind="stable")
+        order = np.argsort(v, kind="stable")
+        low = u[order]
     np.logical_not(u_side, out=u_side)
-    nbr[u_side] = u[order]
+    nbr[u_side] = low
     if w is not None:
         wgt[u_side] = w[order]
     return n, indptr, nbr, wgt, degrees

@@ -324,7 +324,7 @@ def density_dense(n: int, edges, assignment):
     return dense
 
 
-def chain_refine_direct(n: int, edges, gamma: float, tol: float, assignment):
+def chain_refine_direct(n: int, edges, gamma: float, tol: float, assignment, q=None):
     """Kernighan-Lin chain rounds, as louvain_maximize documents them.
 
     Every step recounts each node's links and every community's degree sum
@@ -334,6 +334,11 @@ def chain_refine_direct(n: int, edges, gamma: float, tol: float, assignment):
     alone. Moved nodes are locked; a round keeps its best prefix when that
     beats the start by more than tol. Returns the final assignment and
     whether any round was kept.
+
+    ``q`` is the starting assignment's Q, modularity_direct's by default.
+    Prefixes that tie in exact arithmetic are told apart by how their Q sums
+    round, and those sums start from ``q``; a caller passes the code's own
+    starting Q to replay the same sums.
     """
     m = sum(w for _, _, w in edges)
     degree = [0] * n
@@ -342,7 +347,7 @@ def chain_refine_direct(n: int, edges, gamma: float, tol: float, assignment):
         degree[v] += w
     coef = gamma / (2.0 * m)
     comm = list(assignment)
-    q = modularity_direct(edges, comm, gamma)
+    q = modularity_direct(edges, comm, gamma) if q is None else q
     improved = False
     while True:
         cur = list(comm)

@@ -316,6 +316,40 @@ def test_metrics_csv_and_missing_file(tmp_path, capsys):
                  "--truth", str(tmp_path / "gone.communities")]) == 2
 
 
+def test_each_score_set_builds_one_contingency_table(tmp_path, capsys, monkeypatch):
+    # building the table is nearly all of a score's cost: metrics scores its
+    # three from one table, and a sweep cell its two
+    import resolv.cli as cli
+    real = rv.ContingencyTable.from_assignments.__func__
+    built = []
+
+    def counted(cls, left, right):
+        built.append((left, right))
+        return real(cls, left, right)
+
+    monkeypatch.setattr(rv.ContingencyTable, "from_assignments", classmethod(counted))
+    detected = {i: int(i >= 6) for i in range(12)}
+    truth = {i: (0 if i < 4 else 1 if i < 8 else 2) for i in range(12)}
+    d_path = write_truth(tmp_path, detected, "det.communities")
+    t_path = write_truth(tmp_path, truth, "tru.communities")
+    assert main(["metrics", "--detected", d_path, "--truth", t_path, "--top-k", "2"]) == 0
+    assert len(built) == 1
+    report = json.loads(capsys.readouterr().out)
+    str_d, str_t = built[0]
+    assert (report["nmi"], report["ari"], report["f_measure"]) == (
+        rv.nmi(str_d, str_t), rv.ari(str_d, str_t), rv.f_measure(str_d, str_t, top_k=2))
+
+    # one sweep cell, run here as a worker runs it
+    graph, labels = rv.load_edge_list(write_graph(tmp_path, two_cliques_edges()))
+    truth_map = rv.load_communities(t_path)
+    monkeypatch.setattr(cli, "_sweep_inputs", None)
+    cli._init_sweep_worker(graph, labels, truth_map, np.array([0.7]), 5)
+    built.clear()
+    row = cli._sweep_cell((0, 0))
+    assert len(built) == 1
+    assert (row["nmi"], row["ari"]) == (rv.nmi(*built[0]), rv.ari(*built[0]))
+
+
 # ------------------------------------------------------------------- sweep
 
 def sweep_inputs(tmp_path):

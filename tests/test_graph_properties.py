@@ -17,7 +17,7 @@ import pytest
 
 import resolv as rv
 from resolv.generators import _sample_fast
-from resolv.graph import split_communities
+from resolv.graph import _merge_keys, split_communities
 from resolv.modularity import (_TOL, _aggregate, _chain_refine, _csr, _local_moving, _movable,
                                _scratch_q)
 from resolv.seeding import make_rng
@@ -54,6 +54,38 @@ def test_builders_agree_with_canonical_oracle(case, rnd):
         assert list(g.edges()) == sorted((a, b, c) for (a, b), c in pairs.items())
         assert g.degrees.tolist() == degrees
         assert g.m == sum(pairs.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_unit_multiplicities_build_what_explicit_ones_build(case):
+    # without w, from_arrays merges by an in-place sort of its own keys and
+    # counts each run; every array and dtype must be what w = 1 gives, and
+    # the caller's endpoint arrays stay as they were
+    n, edges = case
+    u, v = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2).T.copy()
+    want = rv.Graph.from_arrays(n, u, v, np.ones(u.size, dtype=np.int64))
+    got = rv.Graph.from_arrays(n, u, v)
+    assert u.tolist() == [e[0] for e in edges] and v.tolist() == [e[1] for e in edges]
+    for name in ("edge_u", "edge_v", "edge_w", "degrees"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), name
+    assert (got.n, got.m) == (want.n, want.m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3) | st.integers(-2**62, 2**62), max_size=30))
+@example(keys=[])
+@example(keys=[5])
+def test_unit_merge_counts_the_runs_of_sorted_keys(keys):
+    # w None sorts keys in place and returns int64 run lengths: the same
+    # keys, sums and dtypes as a merge of explicit int64 ones
+    keys = np.array(keys, dtype=np.int64)
+    want = _merge_keys(keys.copy(), np.ones(keys.size, dtype=np.int64))
+    got = _merge_keys(keys, None)
+    assert keys.tolist() == sorted(keys.tolist())
+    for a, b in zip(got, want):
+        assert (a.dtype, a.tolist()) == (b.dtype, b.tolist())
 
 
 def assert_same_level(got, want):
@@ -186,8 +218,11 @@ def test_unit_level_zero_agrees_with_merged_rows(case, data):
                             + [rng.bit_generator.state])
             assert runs[0] == runs[1]
     got, got_kept = _chain_refine(unit, gamma, False, init)
-    assert (got.tolist(), got_kept) == chain_refine_direct(n, list(g.edges()), gamma, _TOL,
-                                                           init.tolist())
+    # from the chain's own starting Q: prefixes that tie in exact arithmetic
+    # are told apart by rounding, and a start one ulp off let the oracle keep
+    # another of two equally good prefixes
+    assert (got.tolist(), got_kept) == chain_refine_direct(
+        n, list(g.edges()), gamma, _TOL, init.tolist(), q=_scratch_q(unit, init, gamma))
     assert _scratch_q(unit, init, gamma) == _scratch_q(merged, init, gamma)
     dense = np.unique(init, return_inverse=True)[1]
     b = int(dense.max()) + 1

@@ -398,6 +398,28 @@ def test_level_zero_csr_peak_on_a_multigraph():
     assert peak / edge_bytes < 2.2
 
 
+def test_maximize_peak_on_a_unit_edge_graph():
+    # level 0's lower-neighbour side comes from v*n + u keys sorted in place,
+    # and partition_stats gathers only the cross edges. On this graph the
+    # traced peak was 1.73x the edge arrays, set by partition_stats' intra
+    # and cross gathers, and 1.28x with a stable argsort of v in _rows; it is
+    # 1.15x, set by _csr
+    import tracemalloc
+    planted, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
+        [400] * 4, np.full(1600, 100.0), 0.02, [4 - 3 * 0.02] * 4), seed=1)
+    g = rv.Graph.from_arrays(planted.n, planted.edge_u, planted.edge_v)
+    assert g.m > 70_000 and (g.edge_w == 1).all()
+    edge_bytes = g.edge_u.nbytes + g.edge_v.nbytes + g.edge_w.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rv.louvain_maximize(g, 1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / edge_bytes < 1.21
+
+
 @pytest.mark.parametrize("n, m", [(20, 45), (300, 1200)])
 def test_one_csr_and_no_graph_per_maximizer_call(monkeypatch, n, m):
     # the chain polish (n <= 32) and every level-0 phase reuse one CSR, and
