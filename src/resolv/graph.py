@@ -2,14 +2,16 @@
 
 Every graph comes from one builder, ``Graph.from_arrays``: loaded edge
 lists, sampled graphs and induced subgraphs. Pairs are counted one way,
-by ``_merge_keys``: the builder's parallel edges and a ``Partition``'s
-inter-community pairs alike. Keys of unit weight, which are every loaded
-or sampled edge, level 0's community pairs and the contingency cells of
-``metrics``, merge by an in-place sort that counts each key's run, so no
-stage from the load to ``partition_stats`` builds an edge-sized index
-array or an array of ones. The Louvain maximizer works on CSR arrays
-instead: it builds one from its input graph and aggregates each level
-from the previous level's arrays (see ``modularity._csr``).
+by ``_merge_keys``: the builder's parallel edges, and the community pairs
+of a graph's cross edges (``_pair_counts``), which are a ``Partition``'s
+inter-community pairs and every aggregated Louvain level alike. Keys of
+unit weight, which are every loaded or sampled edge and the contingency
+cells of ``metrics``, merge by an in-place sort that counts each key's
+run, so no stage from the load to ``partition_stats`` builds an
+edge-sized index array or an array of ones. The Louvain maximizer works
+on CSR arrays instead: it builds one from its input graph, and each
+aggregated level from the community pairs of that graph's cross edges
+(see ``modularity._csr`` and ``modularity._quotient_level``).
 
 Conventions used everywhere downstream:
 
@@ -115,7 +117,7 @@ class Graph:
                            self.edge_w[part].tolist())
 
 
-# the maximizer's CSR arrays hold node ids as int32 (see modularity._csr)
+# the maximizer's CSR arrays and _cross_edges hold node and community ids as int32
 _MAX_NODES = 2 ** 31
 _EDGE_CHUNK = 1 << 16  # edges per slice of Graph.edges()
 
@@ -326,7 +328,9 @@ class Partition:
     m, n       : edge/node totals of the underlying graph
 
     ``m_rs`` sums one pair's edges and ``inter_pairs`` merges every pair's,
-    both straight from the inter-community edge arrays; nothing is cached.
+    both straight from the inter-community edge arrays (``_cross``: int32
+    community ids of both ends, then the multiplicities, as
+    ``_cross_edges`` gives them); nothing is cached.
     """
 
     assignment: np.ndarray
@@ -354,9 +358,33 @@ class Partition:
 
     def _inter_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``inter_pairs`` as three int64 arrays: r, s and count."""
-        cu, cv, w = self._cross
-        keys, counts = _merge_keys(np.minimum(cu, cv) * self.B + np.maximum(cu, cv), w)
-        return (*np.divmod(keys, self.B), counts)
+        return _pair_counts(*self._cross, self.B)
+
+
+def _cross_edges(graph: Graph, dense) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``graph`` between the communities ``dense`` (one id in
+    0..2**31-1 per node): both ends' community ids as int32, and the
+    edges' multiplicities."""
+    dense = dense.astype(np.int32)  # ids fit, since n <= _MAX_NODES
+    cu = dense[graph.edge_u]
+    cv = dense[graph.edge_v]
+    cross = cu != cv
+    return cu[cross], cv[cross], graph.edge_w[cross]
+
+
+def _pair_counts(cu, cv, w, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The community pairs r < s that the cross edges (cu, cv, w) link, in
+    increasing (r, s) order, and each pair's summed ``w``: three int64 arrays.
+
+    The keys r * B + s are int64, since B**2 can pass 2**31, and are built
+    and divided back in place.
+    """
+    keys = np.minimum(cu, cv, dtype=np.int64)
+    keys *= B
+    keys += np.maximum(cu, cv)
+    keys, counts = _merge_keys(keys, w)
+    r, s = np.divmod(keys, B, out=(keys, None))  # r in place of keys
+    return r, s, counts
 
 
 def partition_stats(graph: Graph, assignment) -> Partition:
@@ -367,17 +395,14 @@ def partition_stats(graph: Graph, assignment) -> Partition:
     sum(m_r) + sum(m_rs) == m and sum(kappa_r) == 2m are asserted on
     every call.
 
-    Only the cross edges are gathered: m_r = (kappa_r - the cross-edge ends
-    in r) / 2, exact in integers, so the edges inside communities need no
-    arrays of their own.
+    Only the cross edges are gathered, by int32 community id: m_r =
+    (kappa_r - the cross-edge ends in r) / 2, exact in integers, so the
+    edges inside communities need no arrays of their own.
     """
     a = _assignment(graph, assignment)
     labels, dense = np.unique(a, return_inverse=True)
     B = int(labels.size)
-    cu = dense[graph.edge_u]
-    cv = dense[graph.edge_v]
-    cross = cu != cv
-    cu, cv, w = cu[cross], cv[cross], graph.edge_w[cross]
+    cu, cv, w = _cross_edges(graph, dense)
     kappa = np.bincount(dense, weights=graph.degrees, minlength=B)
     # kappa_r counts each edge inside r twice, loops too, and each cross edge once
     ends = np.bincount(cu, weights=w, minlength=B) + np.bincount(cv, weights=w, minlength=B)

@@ -10,21 +10,24 @@ degree-heavy communities and pushes the optimum toward finer partitions.
 
 The maximizer below is the usual two-phase scheme: single-node moves to
 the best neighboring community, then aggregation of communities into
-super-nodes, repeated until the node-moving phase goes idle. The node-moving
-phase is a FIFO work queue: every node is queued once, and a node that moves
-queues its neighbours outside its new community again. Moves elsewhere also
-shift the gamma * kappa penalty of nodes that are not queued, so the queue
-alone certifies nothing; a final full pass over the original graph in which
-no node moves certifies local optimality. On levels above _SKIP_LIMIT nodes
-a phase first checks in numpy, chunk by chunk, whether any node could move
-from its starting state; a phase in which none can is idle and ends without
-a Python visit, while any other phase runs its whole queue. Multiplicities
-and self-loops are honored throughout. The original graph's level lists a
-neighbour once per unit of multiplicity, so a visit there counts its links
-per community in C and reads no weights; aggregated levels list each
-neighbouring super-node once with a float weight. A self-loop stays internal
-wherever its node goes, so it never enters a move gain, but it does count in
-Q and in aggregated super-node loops.
+super-nodes, repeated until the node-moving phase goes idle. Each
+aggregated level is the quotient of the original graph by the current
+communities, built from its cross edges, not from the previous level. The
+node-moving phase is a FIFO work queue: every node is queued once, and a
+node that moves queues its neighbours outside its new community again.
+Moves elsewhere also shift the gamma * kappa penalty of nodes that are not
+queued, so the queue alone certifies nothing; a final full pass over the
+original graph in which no node moves certifies local optimality. On levels
+above _SKIP_LIMIT nodes a phase first checks in numpy, chunk by chunk,
+whether any node could move from its starting state; a phase in which none
+can is idle and ends without a Python visit, while any other phase runs its
+whole queue. Multiplicities and self-loops are honored throughout. The
+original graph's level lists a neighbour once per unit of multiplicity, so
+a visit there counts its links per community in C and reads no weights;
+aggregated levels list each neighbouring super-node once with a float
+weight. A self-loop stays internal wherever its node goes, so it never
+enters a move gain, but it does count in Q and in aggregated super-node
+loops.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from collections import _count_elements, deque
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, Partition, _check_partition, _merge_keys, _merge_runs, partition_stats
+from .graph import (Graph, Partition, _check_partition, _cross_edges, _merge_keys, _merge_runs,
+                    _pair_counts, partition_stats)
 from .seeding import make_rng
 
 # largest graph that gets the chain-move refinement after greedy convergence
@@ -134,13 +138,12 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
             # aggregate: one super-node per surviving community, in id order
             dense = np.cumsum(np.bincount(comm) > 0) - 1
             b = int(dense[-1]) + 1
-            dense = dense[comm]
-            membership = dense[membership]
+            membership = dense[comm][membership]
             if b == 1:
                 # a lone super-node cannot move, and rng.permutation(1) draws nothing
                 comm = np.zeros(1, dtype=np.int64)
                 break
-            level = _aggregate(level, dense, b)
+            level = _quotient_level(graph, membership, b)
             init = np.arange(b, dtype=np.int64)  # fresh super-nodes start as singletons
         assignment = comm[membership]
         if cycle_moved:
@@ -442,42 +445,30 @@ def _csr(graph: Graph):
     return _rows(graph.n, u, v, None, graph.degrees.astype(np.float64))
 
 
-def _aggregate(level, dense, b):
-    """The level tuple whose b nodes are the communities ``dense`` of ``level``.
+def _quotient_level(graph: Graph, membership, b):
+    """The level tuple whose b nodes are the communities ``membership`` of
+    ``graph``'s nodes: the quotient of the input graph, not of the level
+    before.
 
-    Each edge between two communities is taken from the CSR entries of its
-    lower-community end, and parallel ones, repeated entries included, are
-    summed into one float weight per community pair. Edges inside a community
-    become loops, which only the degrees keep.
-
-    The pair keys are built in place, and the per-entry community arrays are
-    freed before the merge. Level 0's entries weigh 1 each, so its merge sorts
-    the keys in place and counts each pair's run (``graph._merge_keys`` with
-    no weights); aggregated levels merge their float weights.
+    Its edges are the community pairs that ``graph``'s cross edges link, each
+    weighing their summed multiplicity (``graph._pair_counts``); edges inside
+    a community become loops, which only the degrees keep. Every weight and
+    degree is an integer sum, exact in any order, so the level is the one
+    that aggregating the previous level's rows would give.
     """
-    _, indptr, nbr, wgt, degrees = level
-    dense = dense.astype(np.int32)
-    src = np.repeat(dense, indptr[1:] - indptr[:-1])
-    dst = dense[nbr]
-    up = src < dst
-    keys = np.multiply(src[up], b, dtype=np.int64)
-    keys += dst[up]
-    w = None if wgt.strides == (0,) else wgt[up]  # level 0's merge counts repeats
-    del src, dst, up  # the merge below would add to their peak
-    keys, w = _merge_keys(keys, w)
-    u, v = np.divmod(keys, b, out=(keys, None))
-    return _rows(b, u, v, w, np.bincount(dense, weights=degrees, minlength=b))
+    return _rows(b, *_pair_counts(*_cross_edges(graph, membership), b),
+                 np.bincount(membership, weights=graph.degrees, minlength=b))
 
 
 def _rows(n, u, v, w, degrees):
     """Level tuple from loop-free edges u < v sorted by (u, v).
 
     Row i holds first the edges where i is u, already in v order, then those
-    where i is v, in u order. ``w`` gives each edge's weight, for distinct
-    edges, and a stable argsort on v carries the weights along; with ``w``
-    None every edge weighs 1, an edge may repeat, ``wgt`` is a slice of
-    ``_UNIT``, and the keys v * n + u sorted in place give the u order with
-    no index array.
+    where i is v, in u order. ``w`` gives each distinct edge's weight as an
+    int64 count, which ``wgt`` holds as a float, and a stable argsort on v
+    carries the weights along; with ``w`` None every edge weighs 1, an edge
+    may repeat, ``wgt`` is a slice of ``_UNIT``, and the keys v * n + u
+    sorted in place give the u order with no index array.
     """
     sides = np.empty(2 * n, dtype=np.int64)  # per row: u-side count, v-side count
     sides[0::2] = np.bincount(u, minlength=n)

@@ -18,8 +18,8 @@ import pytest
 import resolv as rv
 from resolv.generators import _sample_fast
 from resolv.graph import _merge_keys, split_communities
-from resolv.modularity import (_TOL, _aggregate, _chain_refine, _csr, _local_moving, _movable,
-                               _scratch_q)
+from resolv.modularity import (_TOL, _chain_refine, _csr, _local_moving, _movable,
+                               _quotient_level, _scratch_q)
 from resolv.seeding import make_rng
 from oracles import (ari_dense, canonical_multigraph, chain_refine_direct, community_counts,
                      csr_rows, density_dense, f_measure_dense, merged_level, movable_direct,
@@ -97,19 +97,21 @@ def assert_same_level(got, want):
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(), st.data())
 def test_level_builders_match_the_graph_path(case, data):
-    # the maximizer builds one CSR per call and aggregates CSR to CSR. Level 0
-    # lists each neighbour once per unit of multiplicity, each entry weighing
-    # 1.0; every aggregated level must equal the merged-row CSR of the Graph
-    # that from_arrays would build. Row order counts, since it drives the
+    # the maximizer builds one CSR per call, and each aggregated level as the
+    # quotient of that call's input graph. Level 0 lists each neighbour once
+    # per unit of multiplicity, each entry weighing 1.0; every aggregated
+    # level must equal the merged-row CSR of the Graph that from_arrays would
+    # build from the level before. Row order counts, since it drives the
     # requeue
     n, edges = case
-    g = rv.Graph.from_edges(n, edges)
+    g0 = g = rv.Graph.from_edges(n, edges)
     level = _csr(g)
     _, indptr, nbr, wgt, degrees = level
     rows = [list(zip(nbr[indptr[i]:indptr[i + 1]].tolist(), wgt[indptr[i]:indptr[i + 1]].tolist()))
             for i in range(n)]
     assert rows == [[(j, 1.0) for j, w in row for _ in range(w)] for row in csr_rows(n, edges)]
     assert degrees.tolist() == g.degrees.tolist()
+    membership = np.arange(n)  # input node -> node of the current level
     for _ in range(data.draw(st.integers(1, 3))):
         labels = np.array(data.draw(st.lists(st.integers(0, g.n - 1),
                                              min_size=g.n, max_size=g.n)), dtype=np.int64)
@@ -117,7 +119,8 @@ def test_level_builders_match_the_graph_path(case, data):
         dense = np.unique(labels, return_inverse=True)[1]
         b = int(dense.max()) + 1
         g = rv.Graph.from_arrays(b, dense[g.edge_u], dense[g.edge_v], g.edge_w)
-        level = _aggregate(level, dense, b)
+        membership = dense[membership]
+        level = _quotient_level(g0, membership, b)
         assert_same_level(level, merged_level(b, list(g.edges())))
         # check mode reads a level's loop weight as m - sum(wgt) / 2
         loops = int(g.edge_w[g.edge_u == g.edge_v].sum())
@@ -194,10 +197,11 @@ def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
 @given(multigraphs(max_n=12, max_edges=30), st.data())
 def test_unit_level_zero_agrees_with_merged_rows(case, data):
     # level 0 lists a neighbour once per unit of multiplicity and counts its
-    # links without reading weights; a phase, Q and the aggregate must all
-    # come out as on the merged rows with float multiplicities, random stream
-    # included. The chain polish reads level 0 only, so it is held to the
-    # oracle that recounts links from the edge list
+    # links without reading weights; a phase and Q must come out as on the
+    # merged rows with float multiplicities, random stream included, and the
+    # level aggregated from the phase's start as the merged rows of the
+    # quotient graph. The chain polish reads level 0 only, so it is held to
+    # the oracle that recounts links from the edge list
     n, edges = case
     g = rv.Graph.from_edges(n, edges)
     assume(g.m > 0)
@@ -226,7 +230,21 @@ def test_unit_level_zero_agrees_with_merged_rows(case, data):
     assert _scratch_q(unit, init, gamma) == _scratch_q(merged, init, gamma)
     dense = np.unique(init, return_inverse=True)[1]
     b = int(dense.max()) + 1
-    assert_same_level(_aggregate(unit, dense, b), _aggregate(merged, dense, b))
+    quotient = rv.Graph.from_arrays(b, dense[g.edge_u], dense[g.edge_v], g.edge_w)
+    assert_same_level(_quotient_level(g, dense, b), merged_level(b, list(quotient.edges())))
+
+
+def test_pair_keys_past_2_31():
+    # a path with every node alone: B**2 is 10**10, so a pair key r * B + s
+    # overflows int32. inter_pairs and the quotient level must still list
+    # every linked pair, in order
+    n = 100_000
+    g = rv.Graph.from_arrays(n, np.arange(n - 1), np.arange(1, n))
+    alone = np.arange(n)
+    _, m_rs, _ = community_counts(list(g.edges()), alone.tolist())
+    assert list(rv.partition_stats(g, alone).inter_pairs()) == sorted(
+        (r, s, c) for (r, s), c in m_rs.items())
+    assert_same_level(_quotient_level(g, alone, n), merged_level(n, list(g.edges())))
 
 
 def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):

@@ -398,32 +398,65 @@ def test_level_zero_csr_peak_on_a_multigraph():
     assert peak / edge_bytes < 2.2
 
 
+def unit_edge_graph():
+    """A 71,036-edge planted graph whose every multiplicity is 1."""
+    planted, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
+        [400] * 4, np.full(1600, 100.0), 0.02, [4 - 3 * 0.02] * 4), seed=1)
+    g = rv.Graph.from_arrays(planted.n, planted.edge_u, planted.edge_v)
+    assert g.m > 70_000 and (g.edge_w == 1).all()
+    return g
+
+
+def traced_peak(g, build):
+    """The traced peak of ``build()``, over ``g``'s edge arrays."""
+    import tracemalloc
+    edge_bytes = g.edge_u.nbytes + g.edge_v.nbytes + g.edge_w.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return (tracemalloc.get_traced_memory()[1] - before) / edge_bytes
+    finally:
+        tracemalloc.stop()
+
+
 def test_maximize_peak_on_a_unit_edge_graph():
     # level 0's lower-neighbour side comes from v*n + u keys sorted in place,
     # and partition_stats gathers only the cross edges. On this graph the
     # traced peak was 1.73x the edge arrays, set by partition_stats' intra
     # and cross gathers, and 1.28x with a stable argsort of v in _rows; it is
     # 1.15x, set by _csr
-    import tracemalloc
-    planted, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
-        [400] * 4, np.full(1600, 100.0), 0.02, [4 - 3 * 0.02] * 4), seed=1)
-    g = rv.Graph.from_arrays(planted.n, planted.edge_u, planted.edge_v)
-    assert g.m > 70_000 and (g.edge_w == 1).all()
-    edge_bytes = g.edge_u.nbytes + g.edge_v.nbytes + g.edge_w.nbytes
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        rv.louvain_maximize(g, 1.0, seed=0)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak / edge_bytes < 1.21
+    g = unit_edge_graph()
+    assert traced_peak(g, lambda: rv.louvain_maximize(g, 1.0, seed=0)) < 1.21
+
+
+def test_first_level_build_peak_on_a_unit_edge_graph():
+    # the level after the first phase is the quotient of the input graph,
+    # from int32 community ids of its cross edges. Aggregating level 0's CSR
+    # entries, with int32 community ids at both ends of every entry and a
+    # mask, traced 0.77x the edge arrays here; the quotient traces 0.39x
+    from resolv.modularity import _csr, _local_moving, _quotient_level
+    from resolv.seeding import make_rng
+    g = unit_edge_graph()
+    comm, _ = _local_moving(_csr(g), 1.0, make_rng(0), False, np.arange(g.n))
+    dense = np.unique(comm, return_inverse=True)[1]
+    b = int(dense.max()) + 1
+    assert traced_peak(g, lambda: _quotient_level(g, dense, b)) < 0.55
+
+
+def test_partition_stats_peak_under_many_random_labels():
+    # 300 random labels make nearly every edge a cross edge. With int32
+    # community ids the traced peak is 1.34x the edge arrays; int64 ids
+    # traced 1.71x
+    g = unit_edge_graph()
+    labels = np.random.default_rng(0).integers(0, 300, g.n)
+    assert traced_peak(g, lambda: rv.partition_stats(g, labels)) < 1.5
 
 
 @pytest.mark.parametrize("n, m", [(20, 45), (300, 1200)])
 def test_one_csr_and_no_graph_per_maximizer_call(monkeypatch, n, m):
     # the chain polish (n <= 32) and every level-0 phase reuse one CSR, and
-    # aggregated levels are built CSR to CSR
+    # aggregated levels are built from the input graph's arrays, not a Graph
     import importlib
     modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
     g = rv.sample_er(n, m, 3)
