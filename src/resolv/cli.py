@@ -22,7 +22,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import __version__
-from .errors import ParseError, ResolvError, ValidationError
+from .errors import ParseError, ValidationError
 from .generators import (DcsbmParams, ExtendedPpmParams, make_clique,
                          make_plateau_fixture, sample_dcsbm, sample_er,
                          sample_extended_ppm)
@@ -30,7 +30,7 @@ from .graph import (Graph, _utf8_text, load_communities, load_edge_list,
                     partition_stats, write_communities, write_edge_list)
 from .metrics import ContingencyTable, _ari, _f_measure, _nmi
 from .modularity import louvain_maximize, modularity
-from .multiscale import multiscale_detect
+from .multiscale import MAX_DEPTH, multiscale_detect
 from .resolution import estimate_density_matrix, fit_ppm, resolution_interval
 from .seeding import _check_seed, derive_seed
 
@@ -51,9 +51,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ResolvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -85,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma0", type=float, default=0.5,
                    help="per-level resolution for multiscale")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-depth", type=int, default=32)
+    p.add_argument("--max-depth", type=int, default=32,
+                   help=f"deepest multiscale recursion, 1 to {MAX_DEPTH}")
     p.add_argument("--min-size", type=int, default=3)
     p.add_argument("--out", required=True, metavar="PREFIX",
                    help="writes PREFIX.communities and PREFIX.report.json")
@@ -330,29 +328,42 @@ def _worker_cap() -> int:
 # what each sweep cell scores; the JSON rows hold their per-gamma means
 _SCORES = ("nmi", "ari", "communities", "q", "seconds")
 
-# (graph, labels, truth_map, grid, master seed), set once in each sweep worker
+# (graph, shared nodes, their truth codes, the truth labels, truth-only node
+# count, grid, master seed), set once in each sweep worker
 _sweep_inputs = None
 
 
-def _init_sweep_worker(*inputs) -> None:
+def _init_sweep_worker(graph, labels, truth_map, grid, master_seed) -> None:
+    """Encode the truth once per worker: the graph nodes it covers, in node
+    order, and their truth labels numbered by first appearance, as
+    ``ContingencyTable.from_assignments`` numbers them."""
     global _sweep_inputs
-    _sweep_inputs = inputs
+    shared = [i for i, label in enumerate(labels) if label in truth_map]
+    index: dict = {}
+    codes = [index.setdefault(truth_map[labels[i]], len(index)) for i in shared]
+    _sweep_inputs = (graph, np.asarray(shared, dtype=np.int64), np.asarray(codes, dtype=np.int64),
+                     tuple(index), len(truth_map) - len(shared), grid, master_seed)
 
 
 def _sweep_cell(cell) -> dict:
     """One louvain run of the sweep, scored against the truth.
 
     Its seed derives from (master seed, gamma index, seed index) alone, so a
-    cell gives the same result in any worker and in any order.
+    cell gives the same result in any worker and in any order. Its table
+    numbers the partition's community ids by first appearance, as the
+    detected labels would be numbered, so the scores are those of
+    ``from_assignments``.
     """
-    graph, labels, truth_map, grid, master_seed = _sweep_inputs
+    graph, shared, truth_codes, truth_labels, truth_only, grid, master_seed = _sweep_inputs
     gi, si = cell
     gamma = float(grid[gi])
     started = time.perf_counter()
     part = louvain_maximize(graph, gamma, seed=derive_seed(master_seed, gi, si))
     elapsed = time.perf_counter() - started
-    detected = {labels[i]: int(c) for i, c in enumerate(part.assignment)}
-    table = ContingencyTable.from_assignments(detected, truth_map)
+    found: dict = {}
+    rows = [found.setdefault(c, len(found)) for c in part.assignment[shared].tolist()]
+    table = ContingencyTable._from_codes(rows, truth_codes, tuple(found), truth_labels,
+                                         graph.n - shared.size, truth_only)
     return {
         "gamma": gamma, "seed_index": si,
         "nmi": _nmi(table), "ari": _ari(table),

@@ -44,26 +44,35 @@ class ContingencyTable:
     def from_assignments(cls, left: Mapping[Hashable, Hashable],
                          right: Mapping[Hashable, Hashable]) -> "ContingencyTable":
         common = [node for node in left if node in right]
-        if not common:
-            raise ValidationError("the two partitions share no nodes")
         row_index: dict = {}
         col_index: dict = {}
         rows = [row_index.setdefault(left[node], len(row_index)) for node in common]
         cols = [col_index.setdefault(right[node], len(col_index)) for node in common]
+        return cls._from_codes(rows, cols, tuple(row_index), tuple(col_index),
+                               len(left) - len(common), len(right) - len(common))
+
+    @classmethod
+    def _from_codes(cls, rows, cols, row_labels: tuple, col_labels: tuple,
+                    dropped_left: int, dropped_right: int) -> "ContingencyTable":
+        """The table of the shared nodes' integer codes: ``rows[i]`` and
+        ``cols[i]`` number node i's communities on each side by first
+        appearance, as ``row_labels`` and ``col_labels`` list them."""
+        if not len(rows):
+            raise ValidationError("the two partitions share no nodes")
         # one key per cell, row-major: sorting groups a cell's nodes, and
         # each node counts 1
-        keys = np.asarray(rows, dtype=np.int64) * len(col_index) + cols
+        keys = np.asarray(rows, dtype=np.int64) * len(col_labels) + cols
         keys, count = _merge_keys(keys, None)
-        row, col = np.divmod(keys, len(col_index))
+        row, col = np.divmod(keys, len(col_labels))
         return cls(
             row=row,
             col=col,
             count=count,
-            row_labels=tuple(row_index),
-            col_labels=tuple(col_index),
-            n=len(common),
-            dropped_left=len(left) - len(common),
-            dropped_right=len(right) - len(common),
+            row_labels=row_labels,
+            col_labels=col_labels,
+            n=len(rows),
+            dropped_left=dropped_left,
+            dropped_right=dropped_right,
         )
 
     @property

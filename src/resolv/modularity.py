@@ -21,7 +21,11 @@ original graph in which no node moves certifies local optimality. On levels
 above _SKIP_LIMIT nodes a phase first checks in numpy, chunk by chunk,
 whether any node could move from its starting state; a phase in which none
 can is idle and ends without a Python visit, while any other phase runs its
-whole queue. Multiplicities and self-loops are honored throughout. The
+whole queue. That phase also marks the inert nodes, reading the paper's
+density condition at the scale of one node: a node whose every link is
+sparser than gamma (2m * w_ij / (k_i * k_j) <= gamma) gains nothing by
+joining any community, so while it sits alone the queue pops it without a
+visit. Multiplicities and self-loops are honored throughout. The
 original graph's level lists a neighbour once per unit of multiplicity, so
 a visit there counts its links per community in C and reads no weights;
 aggregated levels list each neighbouring super-node once with a float
@@ -99,8 +103,9 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
         (graph, gamma, seed) gives an identical partition.
     check : when True, re-derive Q from scratch after every accepted move
         and assert it matches the incrementally tracked value within 1e-9,
-        and that the tracked value never decreases. Meant for tests; it is
-        quadratic-ish and slow on anything but small graphs.
+        and that the tracked value never decreases. Inert nodes (below) are
+        visited even while alone, and asserted not to move. Meant for tests;
+        it is quadratic-ish and slow on anything but small graphs.
 
     At convergence no single-node move (including detaching a node into a
     community of its own) and no pairwise community merge improves Q by
@@ -110,6 +115,15 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     locked best moves, downhill steps allowed, and keeps the best prefix.
     That escapes pairwise-swap traps no sequence of individually improving
     moves can leave, and at that size it costs microseconds.
+
+    The paper's bound says a community sparser than gamma falls apart; for
+    one node it is a certificate. A node alone whose links are all sparser
+    than gamma, 2m * w_ij / (k_i * k_j) <= gamma up to a float margin, can
+    gain by no move, whatever the other nodes do, so the node-moving phase
+    skips its visits (see ``_inert``). Partitions and random streams are
+    those of visiting it. The pass that finds such nodes runs only on levels
+    of more than 64 nodes with gamma * k_max**2 / 2m >= 1; below that every
+    link gains something.
     """
     _check_gamma(gamma)
     if graph.m < 1:
@@ -281,6 +295,15 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     its permutation; any other phase runs its queue from the first node.
     Neither the result nor the random stream depends on the check.
 
+    A phase that is not idle then marks the inert nodes with ``_inert``,
+    unless coef * k_max**2 < 1: every link weighs at least 1, so each then
+    gains 1 - coef * k_i * k_j > 0 and hardly a node could be marked. A node that
+    is inert and alone when popped is not visited: no tally, no kappa
+    update, no requeue. That is exact, since alone its stay scores 0.0, it
+    is offered no detach, and each join scores at most its P_i, which the
+    mask bounds, margin included, by min_gain. With ``check`` the queue
+    visits such a node anyway and asserts that it stays.
+
     The per-node state lives in Python lists, since scalar indexing into
     numpy arrays dominates this loop. The CSR stays in numpy and each visit
     converts only its own slice: lists of the whole CSR took a 250k-edge
@@ -302,9 +325,13 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     kappas = np.bincount(comm_arr, weights=degrees, minlength=n)
     order = rng.permutation(n)
     start = indptr.tolist()
-    if n > _SKIP_LIMIT and not any(
-            mask.any() for mask in _movable(level, start, comm_arr, sizes, kappas, coef, min_gain)):
-        return comm_arr, False
+    inert = set()
+    if n > _SKIP_LIMIT:
+        if not any(mask.any()
+                   for mask in _movable(level, start, comm_arr, sizes, kappas, coef, min_gain)):
+            return comm_arr, False
+        if coef * degrees.max() ** 2 >= 1.0:
+            inert = set(np.flatnonzero(_inert(level, start, coef, min_gain, gamma)).tolist())
     queued = [True] * n
     k = degrees.tolist()
     comm_size = sizes.tolist()
@@ -322,6 +349,10 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
         i = queue.popleft()
         queued[i] = False
         ci = comm[i]
+        # alone and inert: every score is at most min_gain over the stay of 0
+        settled = comm_size[ci] == 1 and i in inert
+        if settled and not check:
+            continue
         lo, hi = start[i], start[i + 1]
         nbrs = nbr[lo:hi].tolist()
         links: dict[int, float] = {}
@@ -365,6 +396,7 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
                     queued[j] = True
                     queue.append(j)
             if check:
+                assert not settled, i
                 q_before = q
                 q += (best_gain - stay) / m
                 q_scratch = _scratch_q(level, np.asarray(comm), gamma)
@@ -373,6 +405,18 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
         else:
             comm_kappa[ci] += ki
     return np.asarray(comm, dtype=np.int64), any_move
+
+
+def _row_chunks(indptr, start):
+    """The rows of a level in chunks of about _CHUNK entries: per chunk its
+    first and end rows r0 and r1, and each of its entries' row less r0.
+    ``start`` is ``indptr`` as a list."""
+    n = indptr.size - 1
+    r0 = 0
+    while r0 < n:
+        r1 = max(bisect_right(start, start[r0] + _CHUNK) - 1, r0 + 1)
+        yield r0, r1, np.arange(r1 - r0).repeat(indptr[r0 + 1:r1 + 1] - indptr[r0:r1])
+        r0 = r1
 
 
 def _movable(level, start, comm, sizes, kappas, coef, min_gain):
@@ -395,11 +439,8 @@ def _movable(level, start, comm, sizes, kappas, coef, min_gain):
     n, indptr, nbr, wgt, degrees = level
     alone = sizes.max() == 1
     free = sizes.min() == 0
-    r0 = 0
-    while r0 < n:
-        r1 = max(bisect_right(start, start[r0] + _CHUNK) - 1, r0 + 1)
+    for r0, r1, row in _row_chunks(indptr, start):
         lo, hi = start[r0], start[r1]
-        row = np.arange(r1 - r0).repeat(indptr[r0 + 1:r1 + 1] - indptr[r0:r1])
         # one group per (row, neighbour community). With every node alone the
         # neighbours' communities are distinct and a neighbour's repeats sit
         # side by side, so each run of equal keys is a group; the sort a
@@ -418,7 +459,38 @@ def _movable(level, start, comm, sizes, kappas, coef, min_gain):
         if free:
             mask |= (sizes[ci] > 1) & (0.0 > threshold)
         yield mask
-        r0 = r1
+
+
+def _inert(level, start, coef, min_gain, gamma):
+    """Per node of ``level``: could no community ever pay it more than
+    ``min_gain`` to leave a community of its own, whatever the other nodes do?
+
+    This is the paper's density condition at the scale of one node. Joining
+    community c from a community of its own scores W_c - coef * k_i * K_c
+    against a stay of exactly 0, where W_c sums i's link weights into c and
+    K_c >= the summed degrees of i's neighbours in c. So each score is at
+    most P_i, the sum over i's distinct neighbours j of
+    max(0, w_ij - coef * k_i * k_j): the links whose relative density
+    2m * w_ij / (k_i * k_j) passes gamma = coef * 2m. A node is inert when
+    P_i + margin <= min_gain. The margin, 2**-20 * P_i plus
+    2**-48 * k_i * (1 + gamma), is at least twice the float error of P_i's
+    terms and sum (under 2**31 of them) and of the queue's own score, each
+    term bounded by k_i (the links) plus gamma * k_i (the penalty). A row
+    lists each neighbour once on aggregated levels and its repeats side by
+    side on level 0, so each run of equal (row, neighbour) keys is one j.
+    The rows are read in chunks of about _CHUNK entries.
+    """
+    n, indptr, nbr, wgt, degrees = level
+    inert = np.empty(n, dtype=bool)
+    for r0, r1, row in _row_chunks(indptr, start):
+        lo, hi = start[r0], start[r1]
+        key, links = _merge_runs(row * n + nbr[lo:hi], wgt[lo:hi])
+        row, j = np.divmod(key, n)
+        ki = degrees[r0:r1]
+        gain = links - (coef * ki)[row] * degrees[j]
+        pos = np.bincount(row, weights=np.maximum(gain, 0.0), minlength=r1 - r0)
+        inert[r0:r1] = pos * (1 + 2**-20) + 2**-48 * (1 + gamma) * ki <= min_gain
+    return inert
 
 
 def _csr(graph: Graph):

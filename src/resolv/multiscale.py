@@ -30,6 +30,10 @@ from .seeding import _check_seed, derive_seed
 
 ACCEPTED = "accepted-leaf"
 RECURSED = "recursed"
+# deepest recursion allowed: TreeNode.to_dict and json's indented encoder each
+# nest about two frames a level, so a deeper tree's report could pass
+# Python's default recursion limit of 1000
+MAX_DEPTH = 256
 
 
 @dataclass
@@ -103,13 +107,16 @@ def multiscale_detect(graph: Graph, gamma0: float = 0.5, seed: int = 0, *,
     Every subgraph is maximized exactly once: that partition feeds the test
     and, when the test fires, becomes the next level's split. Child seeds
     derive from the parent's seed and the community id, so runs are
-    reproducible regardless of evaluation order.
+    reproducible regardless of evaluation order. ``max_depth`` runs from 1
+    to MAX_DEPTH (256), where the tree's report still serializes.
     """
     if graph.m < 1:
         raise ValidationError("multiscale detection needs at least one edge")
     _check_gamma(gamma0)
     if max_depth < 1 or min_size < 1:
         raise ValidationError("max_depth and min_size must be >= 1")
+    if max_depth > MAX_DEPTH:
+        raise ValidationError(f"max_depth must be at most {MAX_DEPTH}, got {max_depth}")
     seed = _check_seed(seed)  # a root below min_size draws nothing
 
     def evaluate(sub: Graph, ids: np.ndarray, depth: int, node_seed: int) -> TreeNode:

@@ -187,6 +187,26 @@ def test_detect_input_errors(tmp_path):
     graph_path = write_graph(tmp_path, two_cliques_edges())
     assert main(["detect", "--graph", graph_path, "--gamma", "-1",
                  "--out", str(tmp_path / "o")]) == 3
+    # past the depth whose report still serializes: invalid, not an internal error
+    for depth, code in (("256", 0), ("257", 3)):
+        assert main(["detect", "--graph", graph_path, "--method", "multiscale",
+                     "--max-depth", depth, "--out", str(tmp_path / "o")]) == code
+
+
+def test_truth_file_blank_and_comment_lines_are_skipped(tmp_path, capsys):
+    # a blank line, a comment and an indented comment between assignments
+    # leave the scores as on the bare file
+    truth = {i: int(i >= 6) for i in range(12)}
+    bare = write_truth(tmp_path, truth, "bare.communities")
+    lines = [f"{node} {comm}\n" for node, comm in truth.items()]
+    lines[3:3] = ["\n", "# node community\n", "   # indented\n"]
+    commented = tmp_path / "commented.communities"
+    commented.write_text("".join(lines))
+    scores = []
+    for path in (bare, str(commented)):
+        assert main(["metrics", "--detected", bare, "--truth", path]) == 0
+        scores.append(json.loads(capsys.readouterr().out))
+    assert scores[0] == scores[1] and scores[1]["dropped_nodes"]["truth_only"] == 0
 
 
 # ------------------------------------------------------------------ bounds
@@ -318,16 +338,18 @@ def test_metrics_csv_and_missing_file(tmp_path, capsys):
 
 def test_each_score_set_builds_one_contingency_table(tmp_path, capsys, monkeypatch):
     # building the table is nearly all of a score's cost: metrics scores its
-    # three from one table, and a sweep cell its two
+    # three from one table, and a sweep cell its two. Every table comes from
+    # _from_codes, which from_assignments calls and a sweep cell calls with
+    # the partition's ids and the truth codes its worker made once
     import resolv.cli as cli
-    real = rv.ContingencyTable.from_assignments.__func__
+    real = rv.ContingencyTable._from_codes.__func__
     built = []
 
-    def counted(cls, left, right):
-        built.append((left, right))
-        return real(cls, left, right)
+    def counted(cls, *args):
+        built.append(args)
+        return real(cls, *args)
 
-    monkeypatch.setattr(rv.ContingencyTable, "from_assignments", classmethod(counted))
+    monkeypatch.setattr(rv.ContingencyTable, "_from_codes", classmethod(counted))
     detected = {i: int(i >= 6) for i in range(12)}
     truth = {i: (0 if i < 4 else 1 if i < 8 else 2) for i in range(12)}
     d_path = write_truth(tmp_path, detected, "det.communities")
@@ -335,11 +357,12 @@ def test_each_score_set_builds_one_contingency_table(tmp_path, capsys, monkeypat
     assert main(["metrics", "--detected", d_path, "--truth", t_path, "--top-k", "2"]) == 0
     assert len(built) == 1
     report = json.loads(capsys.readouterr().out)
-    str_d, str_t = built[0]
+    str_d, str_t = rv.load_communities(d_path), rv.load_communities(t_path)
     assert (report["nmi"], report["ari"], report["f_measure"]) == (
         rv.nmi(str_d, str_t), rv.ari(str_d, str_t), rv.f_measure(str_d, str_t, top_k=2))
 
-    # one sweep cell, run here as a worker runs it
+    # one sweep cell, run here as a worker runs it, against the scores of
+    # the label mappings it stands for
     graph, labels = rv.load_edge_list(write_graph(tmp_path, two_cliques_edges()))
     truth_map = rv.load_communities(t_path)
     monkeypatch.setattr(cli, "_sweep_inputs", None)
@@ -347,7 +370,9 @@ def test_each_score_set_builds_one_contingency_table(tmp_path, capsys, monkeypat
     built.clear()
     row = cli._sweep_cell((0, 0))
     assert len(built) == 1
-    assert (row["nmi"], row["ari"]) == (rv.nmi(*built[0]), rv.ari(*built[0]))
+    part = rv.louvain_maximize(graph, 0.7, seed=rv.derive_seed(5, 0, 0))
+    detected = {label: int(c) for label, c in zip(labels, part.assignment)}
+    assert (row["nmi"], row["ari"]) == (rv.nmi(detected, truth_map), rv.ari(detected, truth_map))
 
 
 # ------------------------------------------------------------------- sweep

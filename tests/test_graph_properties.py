@@ -18,7 +18,7 @@ import pytest
 import resolv as rv
 from resolv.generators import _sample_fast
 from resolv.graph import _merge_keys, split_communities
-from resolv.modularity import (_TOL, _chain_refine, _csr, _local_moving, _movable,
+from resolv.modularity import (_TOL, _chain_refine, _csr, _inert, _local_moving, _movable,
                                _quotient_level, _scratch_q)
 from resolv.seeding import make_rng
 from oracles import (ari_dense, canonical_multigraph, chain_refine_direct, community_counts,
@@ -191,6 +191,86 @@ def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
             runs.append([(a.tolist(), moved) for a, moved in (first, second)]
                         + [rng.bit_generator.state])
         assert runs[0] == runs[1]
+
+
+def gammas():
+    """Log-uniform resolutions up to 100, past the plateau sweep's top of 60,
+    where most nodes' links are all sparser than gamma."""
+    return st.floats(math.log(0.05), math.log(100.0)).map(math.exp)
+
+
+def run_phases(level, gamma, seed, init, limit, check):
+    """Two phases from ``init`` with _SKIP_LIMIT at ``limit``: each one's
+    assignment and moved flag, and the random stream's state after them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_modularity, "_SKIP_LIMIT", limit)
+        rng = make_rng(seed)
+        first = _local_moving(level, gamma, rng, check, init)
+        second = _local_moving(level, gamma, rng, check, first[0])
+    return [(a.tolist(), moved) for a, moved in (first, second)] + [rng.bit_generator.state]
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=12, max_edges=30), st.data())
+def test_skipping_inert_nodes_keeps_the_loop(case, data):
+    # a phase that pops an inert node alone without a visit must give the
+    # plain loop's assignment, moved flag and random stream; check mode visits
+    # it anyway and asserts that it stays. Inits in company hold inert nodes
+    # that can still detach or move, so the skip must ask for a lone node
+    n, edges = case
+    g = rv.Graph.from_edges(n, edges)
+    assume(g.m > 0)
+    init = np.array(data.draw(st.permutations(range(n))
+                              | st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    gamma = data.draw(gammas(), label="gamma")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    chunk = data.draw(st.sampled_from([1, 5, 4096]), label="chunk")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_modularity, "_CHUNK", chunk)
+        for level in (_csr(g), merged_level(n, list(g.edges()))):
+            runs = [run_phases(level, gamma, seed, init, limit, check)
+                    for limit, check in ((float("inf"), False), (0, False), (0, True))]
+            assert runs[0] == runs[1] == runs[2]
+
+
+def test_an_inert_node_in_company_is_visited():
+    # at gamma 4 the one edge is half as dense as gamma asks, so both ends
+    # are inert; together they score -1 for staying, and the first popped
+    # detaches for 0
+    level = _csr(rv.Graph.from_edges(2, [(0, 1)]))
+    assert _inert(level, [0, 1, 2], 2.0, _TOL, 4.0).tolist() == [True, True]
+    runs = [run_phases(level, 4.0, 0, np.array([0, 0]), limit, False)
+            for limit in (float("inf"), 0)]
+    assert runs[0] == runs[1] and runs[0][0][1]
+
+
+@pytest.mark.parametrize("gamma, inert", [(1.9, False), (2.0, True), (2.1, True)])
+def test_inert_mask_on_one_edge(gamma, inert):
+    # on one edge coef * k_i * k_j = gamma / 2, so the link's gain 1 - gamma / 2
+    # is positive below gamma 2; at 2 it is exactly 0, which no move takes
+    level = _csr(rv.Graph.from_edges(2, [(0, 1)]))
+    assert _inert(level, [0, 1, 2], gamma / 2.0, _TOL, gamma).tolist() == [inert] * 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=12, max_edges=30), st.data())
+def test_inert_nodes_have_no_move_while_alone(case, data):
+    # whatever the other nodes do, no single move pays a node the mask marks
+    # while it sits alone, by the oracle that recounts links from the edge
+    # list; level 0's unit rows and merged weighted rows give one mask
+    n, edges = case
+    g = rv.Graph.from_edges(n, edges)
+    assume(g.m > 0)
+    gamma = data.draw(gammas(), label="gamma")
+    coef, min_gain = gamma / (2.0 * g.m), _TOL * g.m
+    masks = [_inert(level, level[1].tolist(), coef, min_gain, gamma)
+             for level in (_csr(g), merged_level(n, list(g.edges())))]
+    assert masks[0].tolist() == masks[1].tolist()
+    others = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="others")
+    for i in np.flatnonzero(masks[0]).tolist():
+        taken = set(others[:i] + others[i + 1:])
+        alone = [c if v != i else min(set(range(n)) - taken) for v, c in enumerate(others)]
+        assert movable_direct(n, list(g.edges()), gamma, alone, min_gain)[i] is None
 
 
 @settings(max_examples=300, deadline=None)

@@ -143,6 +143,29 @@ def test_input_validation():
         rv.multiscale_detect(g2, gamma0=0.0)
     with pytest.raises(rv.ValidationError):
         rv.multiscale_detect(g2, max_depth=0)
+    # past the depth whose report still serializes (test_report_serializes_at_the_depth_cap)
+    with pytest.raises(rv.ValidationError, match="at most 256"):
+        rv.multiscale_detect(g2, max_depth=257)
+
+
+def test_report_serializes_at_the_depth_cap():
+    # a chain as deep as max_depth allows: every interior node splits into a
+    # leaf and the next interior node, down to a depth-capped leaf. The
+    # detect report writes the tree with this indented encoder; 600 levels
+    # raised RecursionError in it
+    import json
+    from resolv.multiscale import MAX_DEPTH, CommunityTree, TreeNode
+    node = TreeNode(nodes=np.array([MAX_DEPTH]), depth=MAX_DEPTH, reason="depth-capped")
+    for depth in range(MAX_DEPTH - 1, -1, -1):
+        leaf = TreeNode(nodes=np.array([depth]), depth=depth + 1, reason="min-size")
+        node = TreeNode(nodes=np.arange(depth, MAX_DEPTH + 1), depth=depth,
+                        children=[leaf, node])
+    tree = CommunityTree(root=node, gamma0=0.5, seed=0)
+    assert len(tree.leaves()) == MAX_DEPTH + 1
+    report = json.loads(json.dumps(tree.to_dict(), indent=2))
+    for _ in range(MAX_DEPTH):
+        report = report["root"] if "root" in report else report["children"][1]
+    assert report["children"][1]["reason"] == "depth-capped"
 
 
 def test_tree_serialization_roundtrips_to_plain_data():
