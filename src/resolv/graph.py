@@ -11,7 +11,8 @@ run, so no stage from the load to ``partition_stats`` builds an
 edge-sized index array or an array of ones. The Louvain maximizer works
 on CSR arrays instead: it builds one from its input graph, and each
 aggregated level from the community pairs of that graph's cross edges
-(see ``modularity._csr`` and ``modularity._quotient_level``).
+(see ``modularity._csr`` and ``modularity._quotient_level``). Every level's
+rows list a neighbour once per unit of multiplicity and hold no weights.
 
 Conventions used everywhere downstream:
 
@@ -192,11 +193,14 @@ def load_edge_list(path) -> tuple[Graph, list[str]]:
     """Read a whitespace-separated edge list.
 
     One edge per line ("u v"), '#' starts a comment line, duplicate lines
-    accumulate multiplicity. Node labels are arbitrary tokens, relabeled to
-    dense ids in order of first appearance; the label list is returned so
-    results can be written back in the original vocabulary. The ids go into
-    int64 buffers, which ``Graph.from_arrays`` reads in place, and its unit
-    merge sorts the edge keys without an index array.
+    accumulate multiplicity. Node labels are arbitrary tokens that do not
+    begin with '#', relabeled to dense ids in order of first appearance; the
+    label list is returned so results can be written back in the original
+    vocabulary. A label that begins with '#' raises ParseError, since it
+    would start a comment line in the community file that
+    ``write_communities`` makes of it. The ids go into int64 buffers, which
+    ``Graph.from_arrays`` reads in place, and its unit merge sorts the edge
+    keys without an index array.
     """
     index: dict[str, int] = {}
     # int64 buffers, which numpy reads in place: lists cost 8 bytes a
@@ -213,6 +217,8 @@ def load_edge_list(path) -> tuple[Graph, list[str]]:
             # ids are assigned per line: a flat list of every token would
             # hold all m token strings at once (+34 MiB at 250k edges)
             a, b = parts
+            if b.startswith("#"):
+                raise ParseError(f"{path}:{lineno}: node label {b!r} begins with '#'")
             us.append(index.setdefault(a, len(index)))
             vs.append(index.setdefault(b, len(index)))
     if not us:

@@ -87,6 +87,11 @@ def _xlogx_ratio(x: float, y: float) -> float:
     """x * ln(x / y) with the 0 * ln 0 convention."""
     if x <= 0.0:
         return 0.0
+    # Unreachable from bayes_log_odds, kept against other callers. There m >= 1,
+    # so y = b = sum(kappa_r**2) / 2m > 0. y = 2m - b is 0 only when one
+    # community holds all 2m edge ends, and then every edge is internal, so
+    # x = 2m - a = 0 returned above. Otherwise some kappa_r <= 2m - 1, so
+    # b <= ((2m - 1)**2 + 1) / 2m = 2m - 2 + 1/m and y >= 2 - 1/m >= 1.
     if y <= 0.0:
         raise ValidationError("ill-posed likelihood ratio (zero expected count)")
     return x * math.log(x / y)

@@ -18,20 +18,20 @@ node that moves queues its neighbours outside its new community again.
 Moves elsewhere also shift the gamma * kappa penalty of nodes that are not
 queued, so the queue alone certifies nothing; a final full pass over the
 original graph in which no node moves certifies local optimality. On levels
-above _SKIP_LIMIT nodes a phase first checks in numpy, chunk by chunk,
-whether any node could move from its starting state; a phase in which none
-can is idle and ends without a Python visit, while any other phase runs its
-whole queue. That phase also marks the inert nodes, reading the paper's
-density condition at the scale of one node: a node whose every link is
-sparser than gamma (2m * w_ij / (k_i * k_j) <= gamma) gains nothing by
-joining any community, so while it sits alone the queue pops it without a
-visit. Multiplicities and self-loops are honored throughout. The
-original graph's level lists a neighbour once per unit of multiplicity, so
-a visit there counts its links per community in C and reads no weights;
-aggregated levels list each neighbouring super-node once with a float
-weight. A self-loop stays internal wherever its node goes, so it never
-enters a move gain, but it does count in Q and in aggregated super-node
-loops.
+above _SKIP_LIMIT nodes a phase that starts with some nodes grouped first
+checks in numpy, chunk by chunk, whether any node could move from its
+starting state; a phase in which none can is idle and ends without a Python
+visit, while any other phase runs its whole queue. A phase there also marks
+the inert nodes, reading the paper's density condition at the scale of one
+node: a node whose every link is sparser than gamma (2m * w_ij / (k_i *
+k_j) <= gamma) gains nothing by joining any community, so while it sits
+alone the queue pops it without a visit. A phase whose nodes all start
+alone asks only that: every node inert makes it idle. Multiplicities and
+self-loops are honored throughout. Every level lists a neighbour once per
+unit of multiplicity, so a visit counts its links per community in C and
+reads no weights. A self-loop stays internal wherever its node goes, so it
+never enters a move gain, but it does count in Q and in aggregated
+super-node loops.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ _TOL = 1e-12
 _SKIP_LIMIT = 64
 # CSR entries per chunk of the movability pass: ~0.4 MiB of temporaries
 _CHUNK = 4096
-# level 0's weights are slices of this read-only zero-stride view of 1.0;
-# a new np.broadcast_to per call took ~4 us of a ~24 us _csr on a 10-node graph
-_UNIT = np.broadcast_to(1.0, 1 << 59)
 
 
 def modularity(graph: Graph, partition: Partition, gamma: float) -> float:
@@ -193,7 +190,7 @@ def _chain_refine(level, gamma, check, assignment):
     (``with_fresh``). A node alone in its community gains nothing by
     detaching, so it scans ``live``; every other node scans ``with_fresh``.
     """
-    n, indptr, nbr, _, degrees = level
+    n, indptr, nbr, degrees = level
     m = float(degrees.sum()) / 2.0
     k = degrees.tolist()
     start, nbr = indptr.tolist(), nbr.tolist()
@@ -290,32 +287,35 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
 
     Until its first move every pop sees the starting state, so a phase in
     which that state lets no node move is idle. On levels above _SKIP_LIMIT
-    nodes ``_movable`` certifies that chunk by chunk, stopping at the first
-    chunk with a movable node, and an idle phase returns right after drawing
-    its permutation; any other phase runs its queue from the first node.
-    Neither the result nor the random stream depends on the check.
+    nodes a phase that starts with some nodes grouped has ``_movable``
+    certify that chunk by chunk, stopping at the first chunk with a movable
+    node, and an idle phase returns right after drawing its permutation;
+    any other phase runs its queue from the first node. Neither the result
+    nor the random stream depends on the check.
 
-    A phase that is not idle then marks the inert nodes with ``_inert``,
-    unless coef * k_max**2 < 1: every link weighs at least 1, so each then
-    gains 1 - coef * k_i * k_j > 0 and hardly a node could be marked. A node that
-    is inert and alone when popped is not visited: no tally, no kappa
-    update, no requeue. That is exact, since alone its stay scores 0.0, it
-    is offered no detach, and each join scores at most its P_i, which the
-    mask bounds, margin included, by min_gain. With ``check`` the queue
-    visits such a node anyway and asserts that it stays.
+    There, unless coef * k_max**2 < 1, a phase that is not found idle marks
+    the inert nodes with ``_inert``: every link weighs at least 1, so below
+    that bound each gains 1 - coef * k_i * k_j > 0 and hardly a node could
+    be marked. A node that is inert and alone when popped is not visited:
+    no tally, no kappa update, no requeue. That is exact, since alone its
+    stay scores 0.0, it is offered no detach, and each join scores at most
+    its P_i, which the mask bounds, margin included, by min_gain. A phase
+    whose nodes all start alone runs no ``_movable`` pass: when every node
+    is inert, none can ever move and the phase is idle; otherwise the queue
+    runs with the skip. With ``check`` the queue runs and visits such nodes
+    anyway, and asserts that they stay.
 
     The per-node state lives in Python lists, since scalar indexing into
     numpy arrays dominates this loop. The CSR stays in numpy and each visit
     converts only its own slice: lists of the whole CSR took a 250k-edge
-    ``detect`` from 70 to 91 MiB peak RSS. On level 0, whose rows repeat a
-    neighbour once per unit of multiplicity (see ``_csr``), a visit tallies
-    its neighbours' communities with ``collections._count_elements`` and
-    reads no weight slice; the integer counts are exact, so every gain and
-    tie is what summed float weights give. Aggregated levels sum their
-    weight slice in a Python loop. The phase only reads ``level``;
+    ``detect`` from 70 to 91 MiB peak RSS. Every row repeats a neighbour
+    once per unit of multiplicity (see ``_rows``), so a visit tallies its
+    neighbours' communities with ``collections._count_elements`` and reads
+    no weights; the integer counts are exact, so every gain and tie is what
+    summed float weights give. The phase only reads ``level``;
     louvain_maximize passes the same level-0 tuple to every cycle.
     """
-    n, indptr, nbr, wgt, degrees = level
+    n, indptr, nbr, degrees = level
     # aggregation keeps every edge, so each level has the original graph's m
     m = float(degrees.sum()) / 2.0
     coef = gamma / (2.0 * m)
@@ -327,11 +327,15 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     start = indptr.tolist()
     inert = set()
     if n > _SKIP_LIMIT:
-        if not any(mask.any()
-                   for mask in _movable(level, start, comm_arr, sizes, kappas, coef, min_gain)):
+        alone = sizes.max() == 1
+        if not (alone or any(mask.any() for mask in
+                             _movable(level, start, comm_arr, sizes, kappas, coef, min_gain))):
             return comm_arr, False
         if coef * degrees.max() ** 2 >= 1.0:
-            inert = set(np.flatnonzero(_inert(level, start, coef, min_gain, gamma)).tolist())
+            marked = _inert(level, start, coef, min_gain, gamma)
+            if alone and marked.all() and not check:
+                return comm_arr, False
+            inert = set(np.flatnonzero(marked).tolist())
     queued = [True] * n
     k = degrees.tolist()
     comm_size = sizes.tolist()
@@ -344,7 +348,6 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     queue = deque(order.tolist())
     # held through the loop, these raised a 250k-edge detect's peak RSS by ~1 MiB
     del order, sizes, kappas
-    unit = wgt.strides == (0,)  # level 0: one entry per unit of multiplicity
     while queue:
         i = queue.popleft()
         queued[i] = False
@@ -355,14 +358,9 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
             continue
         lo, hi = start[i], start[i + 1]
         nbrs = nbr[lo:hi].tolist()
-        links: dict[int, float] = {}
-        if unit:
-            # integer link counts, exact as floats; the tally runs in C
-            _count_elements(links, map(comm.__getitem__, nbrs))
-        else:
-            for j, w in zip(nbrs, wgt[lo:hi].tolist()):
-                cj = comm[j]
-                links[cj] = links.get(cj, 0.0) + w
+        links: dict[int, int] = {}
+        # integer link counts, exact as floats; the tally runs in C
+        _count_elements(links, map(comm.__getitem__, nbrs))
         ki = k[i]
         comm_kappa[ci] -= ki
         stay = links.get(ci, 0.0) - coef * ki * comm_kappa[ci]
@@ -428,25 +426,18 @@ def _movable(level, start, comm, sizes, kappas, coef, min_gain):
     degree sums. A node is movable when a linked community other than its
     own, or detaching into an empty one while it has company, beats staying
     by more than ``min_gain``: the queue's accept rule, with its float
-    operations in the same order. Each chunk's links are grouped by (row,
-    community) through ``graph._merge_keys``, or, when every node is alone,
-    by summing each run of equal adjacent keys (``graph._merge_runs``): a
-    level-0 neighbour's repeated entries sit side by side. Link weights are
-    sums of integer multiplicities, hence exact in any order. The CSR is read
-    in row chunks of about _CHUNK entries, each only when its mask is asked
-    for, so a caller that stops at the first movable node reads no further.
+    operations in the same order. Each chunk's entries are grouped by (row,
+    community) through ``graph._merge_keys``, and a group's entry count is
+    its link weight: an integer, exact as a float. ``_local_moving`` asks
+    only phases that start with some nodes grouped. The CSR is read in row
+    chunks of about _CHUNK entries, each only when its mask is asked for, so
+    a caller that stops at the first movable node reads no further.
     """
-    n, indptr, nbr, wgt, degrees = level
-    alone = sizes.max() == 1
+    n, indptr, nbr, degrees = level
     free = sizes.min() == 0
     for r0, r1, row in _row_chunks(indptr, start):
         lo, hi = start[r0], start[r1]
-        # one group per (row, neighbour community). With every node alone the
-        # neighbours' communities are distinct and a neighbour's repeats sit
-        # side by side, so each run of equal keys is a group; the sort a
-        # general merge needs dominated a sweep's peak RSS growth.
-        key, links = (_merge_runs if alone else _merge_keys)(
-            row * n + comm[nbr[lo:hi]], wgt[lo:hi])
+        key, links = _merge_keys(row * n + comm[nbr[lo:hi]], None)
         row, c = np.divmod(key, n)
         ci, ki = comm[r0:r1], degrees[r0:r1]
         cki = coef * ki
@@ -476,15 +467,15 @@ def _inert(level, start, coef, min_gain, gamma):
     2**-48 * k_i * (1 + gamma), is at least twice the float error of P_i's
     terms and sum (under 2**31 of them) and of the queue's own score, each
     term bounded by k_i (the links) plus gamma * k_i (the penalty). A row
-    lists each neighbour once on aggregated levels and its repeats side by
-    side on level 0, so each run of equal (row, neighbour) keys is one j.
-    The rows are read in chunks of about _CHUNK entries.
+    lists a neighbour's repeats side by side, so each run of equal (row,
+    neighbour) keys is one j, and its length is w_ij. The rows are read in
+    chunks of about _CHUNK entries.
     """
-    n, indptr, nbr, wgt, degrees = level
+    n, indptr, nbr, degrees = level
     inert = np.empty(n, dtype=bool)
     for r0, r1, row in _row_chunks(indptr, start):
         lo, hi = start[r0], start[r1]
-        key, links = _merge_runs(row * n + nbr[lo:hi], wgt[lo:hi])
+        key, links = _merge_runs(row * n + nbr[lo:hi], None)
         row, j = np.divmod(key, n)
         ki = degrees[r0:r1]
         gain = links - (coef * ki)[row] * degrees[j]
@@ -494,17 +485,9 @@ def _inert(level, start, coef, min_gain, gamma):
 
 
 def _csr(graph: Graph):
-    """The maximizer's view of ``graph``: a level tuple (n, indptr, nbr, wgt, degrees).
-
-    Row i of the CSR (``nbr``/``wgt`` from ``indptr[i]`` to ``indptr[i + 1]``)
-    lists i's neighbours once per unit of multiplicity, a neighbour's repeats
-    side by side: the higher ones ascending, then the lower ones ascending,
-    which is the order a moved node requeues them in. ``wgt`` is a read-only
-    zero-stride view of 1.0, so the rows cost 4 bytes an entry and
-    ``_local_moving`` counts a node's links without reading weights.
-    Self-loops stay out of the rows, since they never enter a move gain; they
-    still count in the float ``degrees``, so a level's loop weight is
-    m - sum(wgt) / 2 with m = sum(degrees) / 2.
+    """The maximizer's view of ``graph``: the level tuple (n, indptr, nbr,
+    degrees) that ``_rows`` builds from its edges, with the float
+    ``degrees`` of the graph, self-loops included.
 
     The rows are built without an edge-sized index array: each edge's ends
     are repeated by its multiplicity, a loop's 0 times, with no masked copy
@@ -514,7 +497,7 @@ def _csr(graph: Graph):
     u = graph.edge_u.astype(np.int32).repeat(reps)
     v = graph.edge_v.astype(np.int32).repeat(reps)
     del reps  # the rows below set the peak
-    return _rows(graph.n, u, v, None, graph.degrees.astype(np.float64))
+    return _rows(graph.n, u, v, graph.degrees.astype(np.float64))
 
 
 def _quotient_level(graph: Graph, membership, b):
@@ -522,25 +505,31 @@ def _quotient_level(graph: Graph, membership, b):
     ``graph``'s nodes: the quotient of the input graph, not of the level
     before.
 
-    Its edges are the community pairs that ``graph``'s cross edges link, each
-    weighing their summed multiplicity (``graph._pair_counts``); edges inside
-    a community become loops, which only the degrees keep. Every weight and
-    degree is an integer sum, exact in any order, so the level is the one
-    that aggregating the previous level's rows would give.
+    Its edges are the community pairs that ``graph``'s cross edges link
+    (``graph._pair_counts``), each repeated by its summed multiplicity, so
+    its rows take level 0's format; edges inside a community become loops,
+    which only the degrees keep. Every multiplicity and degree is an
+    integer sum, exact in any order, so the level is the one that
+    aggregating the previous level's rows would give.
     """
-    return _rows(b, *_pair_counts(*_cross_edges(graph, membership), b),
-                 np.bincount(membership, weights=graph.degrees, minlength=b))
+    r, s, reps = _pair_counts(*_cross_edges(graph, membership), b)
+    u = r.astype(np.int32).repeat(reps)
+    v = s.astype(np.int32).repeat(reps)
+    del r, s, reps  # the rows below set the peak
+    return _rows(b, u, v, np.bincount(membership, weights=graph.degrees, minlength=b))
 
 
-def _rows(n, u, v, w, degrees):
-    """Level tuple from loop-free edges u < v sorted by (u, v).
+def _rows(n, u, v, degrees):
+    """Level tuple (n, indptr, nbr, degrees) from loop-free edges u < v
+    sorted by (u, v), each repeated once per unit of multiplicity.
 
-    Row i holds first the edges where i is u, already in v order, then those
-    where i is v, in u order. ``w`` gives each distinct edge's weight as an
-    int64 count, which ``wgt`` holds as a float, and a stable argsort on v
-    carries the weights along; with ``w`` None every edge weighs 1, an edge
-    may repeat, ``wgt`` is a slice of ``_UNIT``, and the keys v * n + u
-    sorted in place give the u order with no index array.
+    Row i of the CSR (``nbr`` from ``indptr[i]`` to ``indptr[i + 1]``) holds
+    first the edges where i is u, already in v order, then those where i is
+    v, in u order, so a neighbour's repeats sit side by side; that is the
+    order a moved node requeues them in. The keys v * n + u sorted in place
+    give the u order with no index array. ``nbr`` holds int32 ids, 4 bytes
+    an entry, and no weights: each entry weighs 1, so a level's loop weight
+    is m - nbr.size / 2 with m = sum(degrees) / 2.
     """
     sides = np.empty(2 * n, dtype=np.int64)  # per row: u-side count, v-side count
     sides[0::2] = np.bincount(u, minlength=n)
@@ -548,34 +537,27 @@ def _rows(n, u, v, w, degrees):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sides[0::2] + sides[1::2], out=indptr[1:])
     nbr = np.empty(indptr[-1], dtype=np.int32)
-    wgt = _UNIT[:nbr.size] if w is None else np.empty(nbr.size)
     # a mask assignment fills its slots in ascending order
     u_side = np.repeat(np.arange(2 * n) % 2 == 0, sides)
     nbr[u_side] = v
-    if w is None:
-        # equal keys are repeats of one edge, so this puts the lower ends in
-        # the order a stable sort on v would
-        low = np.multiply(v, n, dtype=np.int64)
-        low += u
-        low.sort()
-        low %= n
-    else:
-        wgt[u_side] = w
-        order = np.argsort(v, kind="stable")
-        low = u[order]
+    # equal keys are repeats of one edge, so this puts the lower ends in the
+    # order a stable sort on v would
+    low = np.multiply(v, n, dtype=np.int64)
+    low += u
+    low.sort()
+    low %= n
     np.logical_not(u_side, out=u_side)
     nbr[u_side] = low
-    if w is not None:
-        wgt[u_side] = w[order]
-    return n, indptr, nbr, wgt, degrees
+    return n, indptr, nbr, degrees
 
 
 def _scratch_q(level, comm, gamma) -> float:
-    _, indptr, nbr, wgt, degrees = level
+    _, indptr, nbr, degrees = level
     m = float(degrees.sum()) / 2.0
     same = np.repeat(comm, indptr[1:] - indptr[:-1]) == comm[nbr]
-    # every non-loop edge sits in two rows; the rest of m is loops
-    m_in = m - float(wgt.sum()) / 2.0 + float(wgt[same].sum()) / 2.0
+    # every non-loop edge sits in two rows, an entry per unit of
+    # multiplicity in each; the rest of m is loops
+    m_in = m - nbr.size / 2.0 + np.count_nonzero(same) / 2.0
     b = int(comm.max()) + 1
     kap = np.bincount(comm, weights=degrees, minlength=b)
     return m_in / m - gamma * float(np.sum((kap / (2.0 * m)) ** 2))

@@ -204,23 +204,6 @@ def csr_rows(n: int, edges):
     return [h + lo for h, lo in zip(higher, lower)]
 
 
-def merged_level(n: int, edges):
-    """The maximizer's level tuple with one entry per distinct neighbour.
-
-    Returns (n, indptr, nbr, wgt, degrees): row i of ``nbr``/``wgt`` lists
-    ``csr_rows(n, edges)[i]``, each neighbour once with its multiplicity as a
-    float, and ``degrees`` are floats. This is the row format every level had
-    before level 0 listed a neighbour once per unit of multiplicity, and the
-    format aggregated levels keep.
-    """
-    rows = csr_rows(n, edges)
-    _, degrees = canonical_multigraph(n, edges)
-    indptr = np.array([0] + [len(row) for row in rows], dtype=np.int64).cumsum()
-    nbr = np.array([j for row in rows for j, _ in row], dtype=np.int32)
-    wgt = np.array([float(w) for row in rows for _, w in row], dtype=np.float64)
-    return n, indptr, nbr, wgt, np.array(degrees, dtype=np.float64)
-
-
 def sample_fast_reference(params, rng):
     """The fast block-model route as plain loops, for stream checks.
 
@@ -436,3 +419,59 @@ def movable_direct(n: int, edges, gamma: float, assignment, min_gain: float):
         best = max(options, key=lambda o: (o[0], -o[1]), default=None)
         targets.append(best[1] if best and best[0] > stay + min_gain else None)
     return targets
+
+
+def local_moving_direct(n: int, edges, gamma: float, assignment, min_gain: float, rng):
+    """One node-moving phase, as louvain_maximize documents it.
+
+    Draws the visit order as ``rng.permutation(n)`` and works through it as
+    a FIFO queue. A popped node is scored as by ``movable_direct``, from the
+    current assignment, and moves to its best target when that beats
+    staying by more than ``min_gain``. A node that moves queues again each
+    of its distinct neighbours that is outside its new community and not
+    already queued, the higher ones ascending, then the lower ones
+    ascending. Returns the final assignment and whether any node moved.
+    """
+    m = sum(w for _, _, w in edges)
+    degree = [0] * n
+    higher = [set() for _ in range(n)]
+    lower = [set() for _ in range(n)]
+    for u, v, w in edges:
+        degree[u] += w
+        degree[v] += w
+        if u != v:
+            higher[min(u, v)].add(max(u, v))
+            lower[max(u, v)].add(min(u, v))
+    coef = gamma / (2.0 * m)
+    comm = list(assignment)
+    queue = [int(i) for i in rng.permutation(n)]
+    queued = [True] * n
+    moved = False
+    while queue:
+        i = queue.pop(0)
+        queued[i] = False
+        ci = comm[i]
+        ki = float(degree[i])
+        kappa = [0] * n
+        for v in range(n):
+            if v != i:
+                kappa[comm[v]] += degree[v]
+        links: dict = {}
+        for a, b, w in edges:
+            if a != b and i in (a, b):
+                c = comm[b if a == i else a]
+                links[c] = links.get(c, 0) + w
+        stay = links.get(ci, 0) - coef * ki * kappa[ci]
+        options = [(links[c] - coef * ki * kappa[c], c) for c in links if c != ci]
+        empty = [c for c in range(n) if c not in comm]
+        if empty and comm.count(ci) > 1:
+            options.append((0.0, empty[0]))
+        best = max(options, key=lambda o: (o[0], -o[1]), default=None)
+        if best and best[0] > stay + min_gain:
+            comm[i] = best[1]
+            moved = True
+            for j in sorted(higher[i]) + sorted(lower[i]):
+                if not queued[j] and comm[j] != best[1]:
+                    queued[j] = True
+                    queue.append(j)
+    return comm, moved

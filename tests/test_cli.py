@@ -536,6 +536,12 @@ def bad_edges(tmp_path):
     return ["detect", "--graph", str(tmp_path / "bad.edges")]
 
 
+def hash_label(tmp_path):
+    # a label may not begin with '#', or a community file would comment it out
+    (tmp_path / "hash.edges").write_text("a b\nb c\nc #d\n", encoding="utf-8")
+    return ["detect", "--graph", str(tmp_path / "hash.edges")]
+
+
 def bad_truth(tmp_path):
     graph_path, _ = sweep_inputs(tmp_path)
     (tmp_path / "bad.communities").write_bytes(NOT_UTF8)
@@ -576,6 +582,7 @@ def config(model, **fields):
 
 @pytest.mark.parametrize("make_argv, code", [
     (bad_edges, 2),
+    (hash_label, 2),
     (bad_truth, 2),
     (bad_config_bytes, 2),
     (config(DCSBM, target_degrees="x"), 3),
@@ -622,7 +629,7 @@ def config(model, **fields):
     # grids np.linspace cannot allocate (7.28 TiB) or represent, refused first
     (sweep_grid("0.1:1:1000000000000"), 3),
     (sweep_grid("0.1:1:100000000000000000000"), 3),
-], ids=["edges-not-utf8", "truth-not-utf8", "config-not-utf8", "degrees-string",
+], ids=["edges-not-utf8", "edges-hash-label", "truth-not-utf8", "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
         "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
         "omega-diag-object", "n-boolean", "degrees-overflow", "omega-huge",

@@ -22,8 +22,8 @@ from resolv.modularity import (_TOL, _chain_refine, _csr, _inert, _local_moving,
                                _quotient_level, _scratch_q)
 from resolv.seeding import make_rng
 from oracles import (ari_dense, canonical_multigraph, chain_refine_direct, community_counts,
-                     csr_rows, density_dense, f_measure_dense, merged_level, movable_direct,
-                     nmi_dense, sample_fast_reference)
+                     csr_rows, density_dense, f_measure_dense, local_moving_direct,
+                     modularity_direct, movable_direct, nmi_dense, sample_fast_reference)
 
 _modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
 hypothesis = pytest.importorskip("hypothesis")
@@ -88,29 +88,27 @@ def test_unit_merge_counts_the_runs_of_sorted_keys(keys):
         assert (a.dtype, a.tolist()) == (b.dtype, b.tolist())
 
 
-def assert_same_level(got, want):
-    assert got[0] == want[0]
-    for a, b in zip(got[1:], want[1:]):
-        assert a.tolist() == b.tolist()
+def assert_rows_match_oracle(level, n, edges):
+    # a level lists each neighbour of csr_rows once per unit of multiplicity,
+    # its repeats side by side, and holds the float degrees, loops counted twice
+    got_n, indptr, nbr, degrees = level
+    assert got_n == n
+    rows = [nbr[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
+    assert rows == [[j for j, w in row for _ in range(w)] for row in csr_rows(n, edges)]
+    assert (degrees.dtype, degrees.tolist()) == (np.float64, canonical_multigraph(n, edges)[1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(), st.data())
 def test_level_builders_match_the_graph_path(case, data):
     # the maximizer builds one CSR per call, and each aggregated level as the
-    # quotient of that call's input graph. Level 0 lists each neighbour once
-    # per unit of multiplicity, each entry weighing 1.0; every aggregated
-    # level must equal the merged-row CSR of the Graph that from_arrays would
-    # build from the level before. Row order counts, since it drives the
-    # requeue
+    # quotient of that call's input graph. Every level must list the rows of
+    # the Graph that from_arrays would build from the level before, a
+    # neighbour once per unit of multiplicity. Row order counts, since it
+    # drives the requeue
     n, edges = case
     g0 = g = rv.Graph.from_edges(n, edges)
-    level = _csr(g)
-    _, indptr, nbr, wgt, degrees = level
-    rows = [list(zip(nbr[indptr[i]:indptr[i + 1]].tolist(), wgt[indptr[i]:indptr[i + 1]].tolist()))
-            for i in range(n)]
-    assert rows == [[(j, 1.0) for j, w in row for _ in range(w)] for row in csr_rows(n, edges)]
-    assert degrees.tolist() == g.degrees.tolist()
+    assert_rows_match_oracle(_csr(g), n, edges)
     membership = np.arange(n)  # input node -> node of the current level
     for _ in range(data.draw(st.integers(1, 3))):
         labels = np.array(data.draw(st.lists(st.integers(0, g.n - 1),
@@ -121,24 +119,24 @@ def test_level_builders_match_the_graph_path(case, data):
         g = rv.Graph.from_arrays(b, dense[g.edge_u], dense[g.edge_v], g.edge_w)
         membership = dense[membership]
         level = _quotient_level(g0, membership, b)
-        assert_same_level(level, merged_level(b, list(g.edges())))
-        # check mode reads a level's loop weight as m - sum(wgt) / 2
+        assert_rows_match_oracle(level, b, list(g.edges()))
+        # check mode reads a level's loop weight as m - nbr.size / 2
         loops = int(g.edge_w[g.edge_u == g.edge_v].sum())
-        assert level[4].sum() / 2 - level[3].sum() / 2 == loops
+        assert level[3].sum() / 2 - level[2].size / 2 == loops
 
 
 def assert_movable_matches_oracle(g, init, gamma):
     # the numpy pass must name exactly the nodes the queue would move if it
-    # visited them first, on level 0's unit rows and on merged weighted rows
-    # alike; with no tolerance exact ties are common, so > and >= differ
+    # visited them first; with no tolerance exact ties are common, so > and
+    # >= differ
     sizes = np.bincount(init, minlength=g.n)
     kappas = np.bincount(init, weights=g.degrees, minlength=g.n)
-    for level in (_csr(g), merged_level(g.n, list(g.edges()))):
-        for min_gain in (_TOL * g.m, 0.0):
-            got = np.concatenate(list(_movable(level, level[1].tolist(), init, sizes, kappas,
-                                               gamma / (2.0 * g.m), min_gain)))
-            want = movable_direct(g.n, list(g.edges()), gamma, init.tolist(), min_gain)
-            assert got.tolist() == [t is not None for t in want]
+    level = _csr(g)
+    for min_gain in (_TOL * g.m, 0.0):
+        got = np.concatenate(list(_movable(level, level[1].tolist(), init, sizes, kappas,
+                                           gamma / (2.0 * g.m), min_gain)))
+        want = movable_direct(g.n, list(g.edges()), gamma, init.tolist(), min_gain)
+        assert got.tolist() == [t is not None for t in want]
 
 
 @pytest.mark.parametrize("edges, init, gamma", [
@@ -227,10 +225,9 @@ def test_skipping_inert_nodes_keeps_the_loop(case, data):
     chunk = data.draw(st.sampled_from([1, 5, 4096]), label="chunk")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_modularity, "_CHUNK", chunk)
-        for level in (_csr(g), merged_level(n, list(g.edges()))):
-            runs = [run_phases(level, gamma, seed, init, limit, check)
-                    for limit, check in ((float("inf"), False), (0, False), (0, True))]
-            assert runs[0] == runs[1] == runs[2]
+        runs = [run_phases(_csr(g), gamma, seed, init, limit, check)
+                for limit, check in ((float("inf"), False), (0, False), (0, True))]
+        assert runs[0] == runs[1] == runs[2]
 
 
 def test_an_inert_node_in_company_is_visited():
@@ -257,14 +254,15 @@ def test_inert_mask_on_one_edge(gamma, inert):
 def test_inert_nodes_have_no_move_while_alone(case, data):
     # whatever the other nodes do, no single move pays a node the mask marks
     # while it sits alone, by the oracle that recounts links from the edge
-    # list; level 0's unit rows and merged weighted rows give one mask
+    # list; level 0 and the quotient by singletons, the same rows built two
+    # ways, give one mask
     n, edges = case
     g = rv.Graph.from_edges(n, edges)
     assume(g.m > 0)
     gamma = data.draw(gammas(), label="gamma")
     coef, min_gain = gamma / (2.0 * g.m), _TOL * g.m
     masks = [_inert(level, level[1].tolist(), coef, min_gain, gamma)
-             for level in (_csr(g), merged_level(n, list(g.edges())))]
+             for level in (_csr(g), _quotient_level(g, np.arange(n), n))]
     assert masks[0].tolist() == masks[1].tolist()
     others = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="others")
     for i in np.flatnonzero(masks[0]).tolist():
@@ -273,45 +271,72 @@ def test_inert_nodes_have_no_move_while_alone(case, data):
         assert movable_direct(n, list(g.edges()), gamma, alone, min_gain)[i] is None
 
 
+def oracle_phases(graph, gamma, seed, init):
+    """``run_phases``' result, as the oracle scores it from ``graph``'s edge list."""
+    rng = make_rng(seed)
+    edges = list(graph.edges())
+    first = local_moving_direct(graph.n, edges, gamma, init.tolist(), _TOL * graph.m, rng)
+    second = local_moving_direct(graph.n, edges, gamma, first[0], _TOL * graph.m, rng)
+    return [first, second, rng.bit_generator.state]
+
+
+@pytest.mark.parametrize("edges, init, gamma", [
+    # a double edge pays at gamma 1, and either of its entries alone would not
+    ([(0, 1, 2)], [0, 1], 1.0),
+    # here a node queued again for each repeated entry of a moved neighbour
+    # is visited twice, and the phase ends elsewhere
+    ([(0, 1, 1), (0, 3, 2), (1, 2, 4), (2, 3, 3)], [1, 1, 0, 3], 1.5),
+], ids=["tally-repeats", "requeue-once"])
+def test_phases_on_fixed_cases(edges, init, gamma):
+    g = rv.Graph.from_edges(len(init), edges)
+    want = oracle_phases(g, gamma, 0, np.array(init))
+    for limit in (float("inf"), 0):
+        assert run_phases(_csr(g), gamma, 0, np.array(init), limit, False) == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(multigraphs(max_n=12, max_edges=30), st.data())
-def test_unit_level_zero_agrees_with_merged_rows(case, data):
-    # level 0 lists a neighbour once per unit of multiplicity and counts its
-    # links without reading weights; a phase and Q must come out as on the
-    # merged rows with float multiplicities, random stream included, and the
-    # level aggregated from the phase's start as the merged rows of the
-    # quotient graph. The chain polish reads level 0 only, so it is held to
-    # the oracle that recounts links from the edge list
+def test_phases_match_the_edge_list_oracle(case, data):
+    # every level lists a neighbour once per unit of multiplicity and tallies
+    # its links in C. On level 0 and on a quotient level, two phases must
+    # give the assignments, moved flags and random stream of the oracle that
+    # scores each pop from the weighted edge list, with the idle and inert
+    # checks off and on. A repeated entry counts once per unit in a tally,
+    # and a moved node queues a neighbour once
     n, edges = case
     g = rv.Graph.from_edges(n, edges)
     assume(g.m > 0)
-    unit, merged = _csr(g), merged_level(n, list(g.edges()))
-    init = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
-                              | st.permutations(range(n))))
-    gamma = data.draw(st.floats(math.log(0.05), math.log(60.0)).map(math.exp))
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    with pytest.MonkeyPatch.context() as mp:
-        for limit in (float("inf"), 0):
-            mp.setattr(_modularity, "_SKIP_LIMIT", limit)
-            runs = []
-            for level in (unit, merged):
-                rng = make_rng(seed)
-                first = _local_moving(level, gamma, rng, False, init)
-                second = _local_moving(level, gamma, rng, False, first[0])
-                runs.append([(a.tolist(), moved) for a, moved in (first, second)]
-                            + [rng.bit_generator.state])
-            assert runs[0] == runs[1]
-    got, got_kept = _chain_refine(unit, gamma, False, init)
-    # from the chain's own starting Q: prefixes that tie in exact arithmetic
-    # are told apart by rounding, and a start one ulp off let the oracle keep
-    # another of two equally good prefixes
-    assert (got.tolist(), got_kept) == chain_refine_direct(
-        n, list(g.edges()), gamma, _TOL, init.tolist(), q=_scratch_q(unit, init, gamma))
-    assert _scratch_q(unit, init, gamma) == _scratch_q(merged, init, gamma)
-    dense = np.unique(init, return_inverse=True)[1]
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="labels")
+    dense = np.unique(labels, return_inverse=True)[1]
     b = int(dense.max()) + 1
     quotient = rv.Graph.from_arrays(b, dense[g.edge_u], dense[g.edge_v], g.edge_w)
-    assert_same_level(_quotient_level(g, dense, b), merged_level(b, list(quotient.edges())))
+    gamma = data.draw(gammas(), label="gamma")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    starts = []
+    for graph, level in ((g, _csr(g)), (quotient, _quotient_level(g, dense, b))):
+        k = graph.n
+        init = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
+                                  | st.permutations(range(k))), dtype=np.int64)
+        starts.append(init)
+        want = oracle_phases(graph, gamma, seed, init)
+        for limit in (float("inf"), 0):
+            assert run_phases(level, gamma, seed, init, limit, False) == want
+    # the chain polish reads level 0 only, and is held to the oracle that
+    # recounts links from the edge list. From the chain's own starting Q:
+    # prefixes that tie in exact arithmetic are told apart by rounding, and a
+    # start one ulp off let the oracle keep another of two equally good prefixes
+    got, got_kept = _chain_refine(_csr(g), gamma, False, starts[0])
+    assert (got.tolist(), got_kept) == chain_refine_direct(
+        n, list(g.edges()), gamma, _TOL, starts[0].tolist(),
+        q=_scratch_q(_csr(g), starts[0], gamma))
+    # the quotient level's rows, and its Q with every super-node alone, are
+    # those of the quotient graph
+    level = _quotient_level(g, dense, b)
+    assert_rows_match_oracle(level, b, list(quotient.edges()))
+    q = _scratch_q(_csr(g), dense, gamma)
+    assert _scratch_q(level, np.arange(b), gamma) == q
+    assert math.isclose(q, modularity_direct(list(g.edges()), dense.tolist(), gamma),
+                        rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_pair_keys_past_2_31():
@@ -324,15 +349,18 @@ def test_pair_keys_past_2_31():
     _, m_rs, _ = community_counts(list(g.edges()), alone.tolist())
     assert list(rv.partition_stats(g, alone).inter_pairs()) == sorted(
         (r, s, c) for (r, s), c in m_rs.items())
-    assert_same_level(_quotient_level(g, alone, n), merged_level(n, list(g.edges())))
+    assert_rows_match_oracle(_quotient_level(g, alone, n), n, list(g.edges()))
 
 
 def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):
-    # every node of the first phase starts alone, and the plateau fixture's
-    # first row already holds a move, so its certificate reads one chunk; the
-    # last phase, the certifying pass, is idle and must read every chunk
-    real = _modularity._movable
-    calls = []
+    # only a phase that starts with some nodes grouped asks _movable. From
+    # the plateau fixture's nodes in pairs the first row already holds a
+    # move, so the certificate reads one chunk; a maximize's last phase, the
+    # certifying pass, is idle and must read every chunk. A phase whose nodes
+    # all start alone asks only _inert, and at gamma 100, where every node is
+    # inert, it returns with no visit
+    real, real_inert, real_tally = _modularity._movable, _inert, _modularity._count_elements
+    calls, inert_calls, tallies = [], [], []
 
     def counted(*args):
         calls.append([args, 0])
@@ -342,12 +370,27 @@ def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):
 
     monkeypatch.setattr(_modularity, "_CHUNK", 4)
     monkeypatch.setattr(_modularity, "_movable", counted)
+    monkeypatch.setattr(_modularity, "_inert",
+                        lambda *args: inert_calls.append(args) or real_inert(*args))
+    monkeypatch.setattr(_modularity, "_count_elements",
+                        lambda *args: tallies.append(args) or real_tally(*args))
     g, _ = rv.make_plateau_fixture(0)
     assert g.n > _modularity._SKIP_LIMIT
+    level, alone = _csr(g), np.arange(g.n)
+    assert _local_moving(level, 1.0, make_rng(0), False, alone // 2)[1]
+    assert [read for _, read in calls] == [1]
+    calls.clear()
     rv.louvain_maximize(g, 1.0, seed=0)
-    assert calls[0][1] == 1
     args, read = calls[-1]
     assert read == len(list(real(*args))) > 1
+    calls.clear()
+    assert _local_moving(level, 1.0, make_rng(0), False, alone)[1]
+    assert calls == [] and tallies
+    inert_calls.clear()
+    tallies.clear()
+    comm, moved = _local_moving(level, 100.0, make_rng(0), False, alone)
+    assert (comm.tolist(), moved) == (alone.tolist(), False)
+    assert calls == [] and len(inert_calls) == 1 and tallies == []
 
 
 @settings(max_examples=200, deadline=None)
