@@ -384,6 +384,9 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid, args.seeds)
     if not (0.0 <= args.threshold <= 1.0):
         raise ValidationError("--threshold must lie in [0, 1]")
+    # the scores would reject it in every cell, each after a full maximize
+    if not any(label in truth_map for label in labels):
+        raise ValidationError("the two partitions share no nodes")
 
     # louvain_maximize is pure Python, so cells run in processes; the inputs
     # reach each worker once, and map() returns the cells in input order

@@ -63,7 +63,7 @@ class TreeNode:
 
     def to_dict(self) -> dict:
         return {
-            "nodes": [int(x) for x in self.nodes],
+            "nodes": self.nodes.tolist(),
             "depth": self.depth,
             "decision": self.decision,
             "reason": self.reason,

@@ -7,8 +7,10 @@ Slow on purpose; only run on small inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -53,6 +55,28 @@ def modularity_direct(edges, assignment, gamma: float) -> float:
 def best_partition_q(n: int, edges, gamma: float) -> float:
     """Exhaustive-search optimum of Q(gamma). Exponential; n <= 8 or so."""
     return max(modularity_direct(edges, a, gamma) for a in set_partitions(n))
+
+
+def best_bipartition_gain(n: int, edges, gamma: float):
+    """m * (Q(S, rest) - Q(one)) = gamma * vol(S) * vol(rest) / 2m - cut(S),
+    maximized over every nonempty proper subset S of range(n) and computed
+    exactly in Fractions (gamma taken as the float it is). None when n == 1,
+    where no bipartition exists."""
+    m = sum(w for _, _, w in edges)
+    degree = [0] * n
+    for u, v, w in edges:
+        degree[u] += w
+        degree[v] += w
+    best = None
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            inside = set(subset)
+            vol = sum(degree[i] for i in inside)
+            cut = sum(w for u, v, w in edges if (u in inside) != (v in inside))
+            gain = Fraction(gamma) * vol * (2 * m - vol) / (2 * m) - cut
+            if best is None or gain > best:
+                best = gain
+    return best
 
 
 def nmi_naive(left: dict, right: dict) -> float:

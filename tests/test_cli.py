@@ -549,6 +549,13 @@ def bad_truth(tmp_path):
             "--grid", "1:1:1"]
 
 
+def disjoint_truth(tmp_path):
+    # no truth label names a graph node, so every cell's scores would fail
+    graph_path, _ = sweep_inputs(tmp_path)
+    truth = write_truth(tmp_path, {"x": 0, "y": 1}, name="disjoint.communities")
+    return ["sweep", "--graph", graph_path, "--truth", truth, "--grid", "1:2:2"]
+
+
 def bad_config_bytes(tmp_path):
     (tmp_path / "bad.json").write_bytes(b'{"model": "\xff"}')
     return ["generate", "--config", str(tmp_path / "bad.json")]
@@ -584,6 +591,7 @@ def config(model, **fields):
     (bad_edges, 2),
     (hash_label, 2),
     (bad_truth, 2),
+    (disjoint_truth, 3),
     (bad_config_bytes, 2),
     (config(DCSBM, target_degrees="x"), 3),
     (config(DCSBM, target_degrees=[1, "a"] + [1] * 8), 3),
@@ -629,7 +637,8 @@ def config(model, **fields):
     # grids np.linspace cannot allocate (7.28 TiB) or represent, refused first
     (sweep_grid("0.1:1:1000000000000"), 3),
     (sweep_grid("0.1:1:100000000000000000000"), 3),
-], ids=["edges-not-utf8", "edges-hash-label", "truth-not-utf8", "config-not-utf8", "degrees-string",
+], ids=["edges-not-utf8", "edges-hash-label", "truth-not-utf8", "sweep-truth-disjoint",
+        "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
         "ppm-degrees-string", "sizes-string", "sizes-overflow", "omega-out-list",
         "omega-diag-object", "n-boolean", "degrees-overflow", "omega-huge",
@@ -642,3 +651,15 @@ def config(model, **fields):
 def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_disjoint_truth_before_the_pool(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the sweep started its pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(disjoint_truth(tmp_path) + ["--out", str(tmp_path / "o")]) == 3
+    assert "share no nodes" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()

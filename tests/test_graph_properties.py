@@ -21,9 +21,10 @@ from resolv.graph import _merge_keys, split_communities
 from resolv.modularity import (_TOL, _chain_refine, _csr, _inert, _local_moving, _movable,
                                _quotient_level, _scratch_q)
 from resolv.seeding import make_rng
-from oracles import (ari_dense, canonical_multigraph, chain_refine_direct, community_counts,
-                     csr_rows, density_dense, f_measure_dense, local_moving_direct,
-                     modularity_direct, movable_direct, nmi_dense, sample_fast_reference)
+from oracles import (ari_dense, best_bipartition_gain, canonical_multigraph, chain_refine_direct,
+                     community_counts, csr_rows, density_dense, f_measure_dense,
+                     local_moving_direct, modularity_direct, movable_direct, nmi_dense,
+                     sample_fast_reference)
 
 _modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
 hypothesis = pytest.importorskip("hypothesis")
@@ -391,6 +392,77 @@ def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):
     comm, moved = _local_moving(level, 100.0, make_rng(0), False, alone)
     assert (comm.tolist(), moved) == (alone.tolist(), False)
     assert calls == [] and len(inert_calls) == 1 and tallies == []
+
+
+class Searched(Exception):
+    pass
+
+
+def certified(graph, gamma):
+    """Did louvain_maximize return without a search? Every search builds the
+    level-0 CSR first. A certified call must return the one community."""
+    def no_search(graph):
+        raise Searched
+
+    real = _modularity._csr
+    _modularity._csr = no_search
+    try:
+        part = rv.louvain_maximize(graph, gamma)
+    except Searched:
+        return False
+    finally:
+        _modularity._csr = real
+    assert part.assignment.tolist() == [0] * graph.n
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_n=12, max_edges=30),
+       st.floats(math.log(0.05), math.log(100.0)).map(math.exp))
+@example(case=(12, [(i, j, 1) for i in range(12) for j in range(i + 1, 12)]), gamma=1.05)
+def test_one_community_certificate_matches_the_bipartition_oracle(case, gamma):
+    # the certificate holds exactly when every bipartition loses to one
+    # community by more than 1e-9 * m, scaled by m; away from that margin it
+    # must agree with the exhaustive Fraction oracle. Where it holds, the
+    # search it skips must end in one community too
+    n, edges = case
+    assume(edges)
+    g = rv.Graph.from_edges(n, edges)
+    holds = certified(g, gamma)
+    best = best_bipartition_gain(n, list(g.edges()), gamma)
+    margin = -1e-9 * g.m
+    if best is None or abs(best - margin) > 1e-6 * g.m:
+        assert holds == (best is None or best < margin), (best, margin)
+    if holds:
+        for seed in range(3):
+            assert rv.louvain_maximize(g, gamma, seed=seed, check=True).B == 1
+
+
+K2 = [(0, 1)]
+K10 = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+
+
+@pytest.mark.parametrize("n, edges, gamma, holds, parts", [
+    # one node: no bipartition to lose to
+    (1, [(0, 0)], 1.0, True, 1),
+    # K2's between-density is exactly 2: below it the pair stays whole, at 2
+    # the split ties, and 1e-10 below it the margin keeps the search
+    (2, K2, 1.9, True, 1),
+    (2, K2, 2.0, False, 2),
+    (2, K2, 2.0 - 1e-10, False, 1),
+    # K10 splits into s and 10 - s nodes at density n / (n - 1) = 1.111
+    (10, K10, 1.10, True, 1),
+    (10, K10, 1.12, False, 10),
+    # an isolated node scores 0 alone, and the search leaves it alone
+    (4, [(0, 1), (1, 2), (0, 2)], 0.5, False, 2),
+    (3, [(0, 1), (1, 2), (0, 2)], 0.5, True, 1),
+], ids=["one-node-loop", "k2-below", "k2-at-density", "k2-within-margin", "k10-below",
+        "k10-above", "isolated-node", "triangle"])
+def test_one_community_certificate_on_fixed_cases(n, edges, gamma, holds, parts):
+    g = rv.Graph.from_edges(n, edges)
+    assert certified(g, gamma) == holds
+    for check in (False, True):
+        assert rv.louvain_maximize(g, gamma, check=check).B == parts
 
 
 @settings(max_examples=200, deadline=None)

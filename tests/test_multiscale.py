@@ -179,6 +179,20 @@ def test_tree_serialization_roundtrips_to_plain_data():
     json.dumps(d)  # must be JSON-safe as is
 
 
+def test_tree_node_ids_serialize_as_plain_ints():
+    # to_dict lists each node's ids with ndarray.tolist(); that must be the
+    # list of plain ints the element-wise int() conversion gives
+    g, _ = rv.make_plateau_fixture(seed=2)
+    _, tree = rv.multiscale_detect(g, gamma0=0.5, seed=2)
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        listed = node.to_dict()["nodes"]
+        assert listed == [int(x) for x in node.nodes]
+        assert all(type(x) is int for x in listed)
+        stack.extend(node.children)
+
+
 @pytest.mark.parametrize("seed, digest", [
     (0, "e7457d1c6c295192abed11f9c3d866fe7e33f76902d59a750c00b8ec2de02393"),
     (1, "390407bc075aa1ac6334ed9d69039245e30ebbc3dbfbe423530d56a2542668b4"),
