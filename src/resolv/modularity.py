@@ -172,7 +172,11 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
             inner[lo:2 * lo] = inner[:lo] + table[:lo, i]
             table[lo:2 * lo] = table[:lo] + step[i]
         vol, cut = table[1:, n], table[1:, n + 1] - 2.0 * inner[1:]
-        certified = bool((gamma * vol * (two_m - vol) / two_m - cut < -1e-9 * graph.m).all())
+        # a gamma near the float limit overflows to inf here, which
+        # certifies nothing, as it should
+        with np.errstate(over="ignore"):
+            loss = gamma * (vol * (two_m - vol) / two_m) - cut
+        certified = bool((loss < -1e-9 * graph.m).all())
         if certified and not check:
             return partition_stats(graph, np.zeros(n, dtype=np.int64))
     rng = make_rng(seed)

@@ -168,6 +168,8 @@ OPTIONS = (st.tuples(st.sampled_from(FLAGS), st.sampled_from(ARGS))
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(["detect", "multiscale", "metrics", "sweep"]),
        st.lists(OPTIONS, max_size=3))
+# the one-community test of a small graph once overflowed at this gamma
+@example("detect", [("--gamma", "1e308")])
 def test_arguments_never_fail_internally(command, options):
     allowed = {"detect": {"--seed", "--gamma"},
                "multiscale": {"--seed", "--gamma0", "--max-depth", "--min-size"},
