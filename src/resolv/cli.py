@@ -333,16 +333,10 @@ _SCORES = ("nmi", "ari", "communities", "q", "seconds")
 _sweep_inputs = None
 
 
-def _init_sweep_worker(graph, labels, truth_map, grid, master_seed) -> None:
-    """Encode the truth once per worker: the graph nodes it covers, in node
-    order, and their truth labels numbered by first appearance, as
-    ``ContingencyTable.from_assignments`` numbers them."""
+def _init_sweep_worker(*inputs) -> None:
+    """Keep the inputs ``cmd_sweep`` encoded once for this worker's cells."""
     global _sweep_inputs
-    shared = [i for i, label in enumerate(labels) if label in truth_map]
-    index: dict = {}
-    codes = [index.setdefault(truth_map[labels[i]], len(index)) for i in shared]
-    _sweep_inputs = (graph, np.asarray(shared, dtype=np.int64), np.asarray(codes, dtype=np.int64),
-                     tuple(index), len(truth_map) - len(shared), grid, master_seed)
+    _sweep_inputs = inputs
 
 
 def _sweep_cell(cell) -> dict:
@@ -384,16 +378,23 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid, args.seeds)
     if not (0.0 <= args.threshold <= 1.0):
         raise ValidationError("--threshold must lie in [0, 1]")
-    # the scores would reject it in every cell, each after a full maximize
-    if not any(label in truth_map for label in labels):
+    # the graph nodes the truth covers, in node order, and their truth labels
+    # numbered by first appearance, as ContingencyTable.from_assignments
+    # numbers them: encoded once, before the pool starts
+    shared = [i for i, label in enumerate(labels) if label in truth_map]
+    if not shared:  # every cell's scores would reject it, each after a full maximize
         raise ValidationError("the two partitions share no nodes")
+    index: dict = {}
+    codes = [index.setdefault(truth_map[labels[i]], len(index)) for i in shared]
+    inputs = (graph, np.asarray(shared, dtype=np.int64), np.asarray(codes, dtype=np.int64),
+              tuple(index), len(truth_map) - len(shared), grid, args.seed)
 
     # louvain_maximize is pure Python, so cells run in processes; the inputs
     # reach each worker once, and map() returns the cells in input order
     cells = [(gi, si) for gi in range(grid.size) for si in range(args.seeds)]
     workers = min(_worker_cap(), len(cells))
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker,
-                             initargs=(graph, labels, truth_map, grid, args.seed)) as pool:
+                             initargs=inputs) as pool:
         runs = list(pool.map(_sweep_cell, cells,
                              chunksize=max(1, len(cells) // (8 * workers))))
 

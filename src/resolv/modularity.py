@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import (Graph, Partition, _check_partition, _cross_edges, _merge_keys, _merge_runs,
                     _pair_counts, partition_stats)
-from .seeding import make_rng
+from .seeding import _check_seed, make_rng
 
 # largest graph that gets the chain-move refinement after greedy convergence
 _KL_LIMIT = 32
@@ -150,10 +150,11 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     search runs anyway and is asserted to end in one community.
     """
     _check_gamma(gamma)
+    seed = _check_seed(seed)  # the certificate below returns before any draw
     if graph.m < 1:
         raise ValidationError("modularity optimization needs at least one edge")
-    certified = graph.n <= _CERTIFY_LIMIT
-    if certified:
+    certified = False
+    if graph.n <= _CERTIFY_LIMIT:
         # scaled by m, Q(S, S') - Q(one) for each S without the last node.
         # Set s holds node i when bit i of s is set, so the sets from 2**i to
         # 2**(i + 1) are those below 2**i plus node i. Row s of table sums

@@ -340,7 +340,7 @@ def test_each_score_set_builds_one_contingency_table(tmp_path, capsys, monkeypat
     # building the table is nearly all of a score's cost: metrics scores its
     # three from one table, and a sweep cell its two. Every table comes from
     # _from_codes, which from_assignments calls and a sweep cell calls with
-    # the partition's ids and the truth codes its worker made once
+    # the partition's ids and the truth codes the sweep encoded once
     import resolv.cli as cli
     real = rv.ContingencyTable._from_codes.__func__
     built = []
@@ -361,18 +361,38 @@ def test_each_score_set_builds_one_contingency_table(tmp_path, capsys, monkeypat
     assert (report["nmi"], report["ari"], report["f_measure"]) == (
         rv.nmi(str_d, str_t), rv.ari(str_d, str_t), rv.f_measure(str_d, str_t, top_k=2))
 
-    # one sweep cell, run here as a worker runs it, against the scores of
-    # the label mappings it stands for
-    graph, labels = rv.load_edge_list(write_graph(tmp_path, two_cliques_edges()))
+    # one sweep cell, run in-process with the inputs the sweep sends its
+    # workers, against the scores of the label mappings it stands for
+    import concurrent.futures
+
+    class InProcess:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells, chunksize):
+            return map(fn, cells)
+
+    graph_path = write_graph(tmp_path, two_cliques_edges())
+    graph, labels = rv.load_edge_list(graph_path)
     truth_map = rv.load_communities(t_path)
     monkeypatch.setattr(cli, "_sweep_inputs", None)
-    cli._init_sweep_worker(graph, labels, truth_map, np.array([0.7]), 5)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     built.clear()
-    row = cli._sweep_cell((0, 0))
+    assert main(["sweep", "--graph", graph_path, "--truth", t_path, "--grid", "0.7:0.7:1",
+                 "--seed", "5", "--out", str(tmp_path / "sw")]) == 0
     assert len(built) == 1
+    with open(tmp_path / "sw.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
     part = rv.louvain_maximize(graph, 0.7, seed=rv.derive_seed(5, 0, 0))
     detected = {label: int(c) for label, c in zip(labels, part.assignment)}
-    assert (row["nmi"], row["ari"]) == (rv.nmi(detected, truth_map), rv.ari(detected, truth_map))
+    assert (float(row["nmi"]), float(row["ari"])) == (rv.nmi(detected, truth_map),
+                                                      rv.ari(detected, truth_map))
 
 
 # ------------------------------------------------------------------- sweep
@@ -617,6 +637,9 @@ def config(model, **fields):
     # a seed must be a non-negative integer
     (negative_seed("detect", "--seed", "-1"), 3),
     (negative_seed("detect", "--method", "multiscale", "--seed", "-1"), 3),
+    # louvain certifies K4 whole and returns before any draw
+    (lambda tmp_path: ["detect", "--graph", write_graph(
+        tmp_path, [(u, v) for u in range(4) for v in range(u + 1, 4)]), "--seed", "-1"], 3),
     (negative_seed("sweep", "--seed", "-3"), 3),
     (negative_seed("generate", "--seed", "-1"), 3),
     # a clique draws nothing, so only the seed check can reject its seed
@@ -644,7 +667,7 @@ def config(model, **fields):
         "omega-diag-object", "n-boolean", "degrees-overflow", "omega-huge",
         "fast-means-overflow", "fast-means-too-large", "nested-blocks", "nested-degrees",
         "nested-sizes", "nested-omega-diag", "detect-negative-seed",
-        "multiscale-negative-seed", "sweep-negative-seed", "generate-negative-seed",
+        "multiscale-negative-seed", "certified-negative-seed", "sweep-negative-seed", "generate-negative-seed",
         "clique-negative-seed", "negative-size-scalar", "negative-size-list", "model-list",
         "sizes-past-int64", "size-past-limit", "er-past-limit", "config-list",
         "config-string", "config-number", "grid-steps-huge", "grid-steps-past-int64"])

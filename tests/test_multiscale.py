@@ -177,13 +177,8 @@ def test_tree_serialization_roundtrips_to_plain_data():
     assert isinstance(d["root"]["children"], list)
     import json
     json.dumps(d)  # must be JSON-safe as is
-
-
-def test_tree_node_ids_serialize_as_plain_ints():
     # to_dict lists each node's ids with ndarray.tolist(); that must be the
     # list of plain ints the element-wise int() conversion gives
-    g, _ = rv.make_plateau_fixture(seed=2)
-    _, tree = rv.multiscale_detect(g, gamma0=0.5, seed=2)
     stack = [tree.root]
     while stack:
         node = stack.pop()
