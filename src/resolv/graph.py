@@ -302,6 +302,16 @@ def split_communities(graph: Graph, assignment) -> Iterator[tuple[np.ndarray, Gr
     ``assignment`` holds a nonnegative integer id per node. Each community is
     renumbered as by ``induced_subgraph``, members in increasing original id;
     one sort of the nodes and one of the intra-community edges serve all.
+    Each subgraph is built from ``_split_edges``' slice.
+    """
+    for members, n, u, v, w in _split_edges(graph, assignment):
+        yield members, Graph.from_arrays(n, u, v, w)
+
+
+def _split_edges(graph: Graph, assignment) -> Iterator[tuple]:
+    """``split_communities`` before any Graph is built: per community, its
+    member ids, node count and edge arrays (u, v, w). The edges are already
+    canonical: ranks keep the original order, so u <= v, sorted, no repeats.
     """
     a = _assignment(graph, assignment)
     if a.min(initial=0) < 0:
@@ -319,7 +329,7 @@ def split_communities(graph: Graph, assignment) -> Iterator[tuple[np.ndarray, Gr
     edge_end = np.cumsum(np.bincount(comm[intra], minlength=size.size))
     lo = elo = 0
     for hi, ehi in zip(node_end.tolist(), edge_end.tolist()):
-        yield order[lo:hi], Graph.from_arrays(hi - lo, u[elo:ehi], v[elo:ehi], w[elo:ehi])
+        yield order[lo:hi], hi - lo, u[elo:ehi], v[elo:ehi], w[elo:ehi]
         lo, elo = hi, ehi
 
 

@@ -18,14 +18,15 @@ node that moves queues its neighbours outside its new community again.
 Moves elsewhere also shift the gamma * kappa penalty of nodes that are not
 queued, so the queue alone certifies nothing; a final full pass over the
 original graph in which no node moves certifies local optimality. On levels
-above _SKIP_LIMIT nodes a phase that starts with some nodes grouped first
-checks in numpy, chunk by chunk, whether any node could move from its
-starting state; a phase in which none can is idle and ends without a Python
-visit, while any other phase runs its whole queue. A phase there also marks
-the inert nodes, reading the paper's density condition at the scale of one
-node: a node whose every link is sparser than gamma (2m * w_ij / (k_i *
-k_j) <= gamma) gains nothing by joining any community, so while it sits
-alone the queue pops it without a visit. A phase whose nodes all start
+of more than _SKIP_LIMIT nodes or _CHUNK adjacency entries a phase that
+starts with some nodes grouped first checks in numpy, chunk by chunk,
+whether any node could move from its starting state; a phase in which none
+can is idle and ends without a Python visit, while any other phase runs its
+whole queue. A phase there also marks the inert nodes, reading the paper's
+density condition at the scale of one node: a node whose every link is
+sparser than gamma (2m * w_ij / (k_i * k_j) <= gamma) gains nothing by
+joining any community, so while it sits alone the queue pops it without a
+visit. A phase whose nodes all start
 alone asks only that: every node inert makes it idle. Multiplicities and
 self-loops are honored throughout. Every level lists a neighbour once per
 unit of multiplicity, so a visit counts its links per community in C and
@@ -60,7 +61,10 @@ _KL_LIMIT = 32
 # minimum Q improvement for a move, merge or chain to count
 _TOL = 1e-12
 # levels with more nodes than this certify idle phases in numpy; on smaller
-# ones the movability pass (~60 us) costs more than the visits it saves
+# ones the movability pass (~60 us) costs more than the visits it saves,
+# unless their rows hold more than _CHUNK entries: an aggregated level's
+# visits cost what its rows hold, and louvain-250k's idle 40-node level holds
+# 98,044 entries
 _SKIP_LIMIT = 64
 # CSR entries per chunk of the movability pass: ~0.4 MiB of temporaries
 _CHUNK = 4096
@@ -132,54 +136,33 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     gain by no move, whatever the other nodes do, so the node-moving phase
     skips its visits (see ``_inert``). Partitions and random streams are
     those of visiting it. The pass that finds such nodes runs only on levels
-    of more than 64 nodes with gamma * k_max**2 / 2m >= 1; below that every
-    link gains something.
+    of more than 64 nodes or 4096 adjacency entries, with gamma * k_max**2 /
+    2m >= 1; below that bound every link gains something.
 
     On a graph of at most 12 nodes the same condition is first read at the
     scale of the whole graph. Splitting it into S and its complement S'
     changes Q by (gamma * vol S * vol S' / 2m - cut(S)) / m: it loses
     exactly when gamma lies below the pair's between-density 2m * cut(S) /
     (vol S * vol S'). If every one of the 2**(n - 1) - 1 bipartitions loses
-    by more than 1e-9, one community is returned without a search. That is
-    the search's own result, not a shortcut: for any partition P, Q(P) -
-    Q(one) is half the sum of Q(S_r, S_r') - Q(one) over P's communities,
-    so merging all of P gains more than 1e-9, and the pairwise merge gains
-    sum to that. Some pair of P's at most 66 pairs gains more than 1.5e-11
-    > 1e-12, so a converged search cannot end at P. A node of degree 0
-    scores 0 alone and keeps the search running. With ``check`` the
-    search runs anyway and is asserted to end in one community.
+    by more than 1e-9, one community is returned without a search. That
+    test is ``_one_community``, which multiscale also asks before it builds
+    a child's Graph. Its answer is the search's own result, not a shortcut:
+    for any partition P, Q(P) - Q(one) is half the sum of Q(S_r, S_r') -
+    Q(one) over P's communities, so merging all of P gains more than 1e-9,
+    and the pairwise merge gains sum to that. Some pair of P's at most 66
+    pairs gains more than 1.5e-11 > 1e-12, so a converged search cannot end
+    at P. A node of degree 0 scores 0 alone and keeps the search running.
+    With ``check`` the search runs anyway and is asserted to end in one
+    community.
     """
     _check_gamma(gamma)
     seed = _check_seed(seed)  # the certificate below returns before any draw
     if graph.m < 1:
         raise ValidationError("modularity optimization needs at least one edge")
-    certified = False
-    if graph.n <= _CERTIFY_LIMIT:
-        # scaled by m, Q(S, S') - Q(one) for each S without the last node.
-        # Set s holds node i when bit i of s is set, so the sets from 2**i to
-        # 2**(i + 1) are those below 2**i plus node i. Row s of table sums
-        # step's rows over set s: its link weight to each node, its volume
-        # and its non-loop degrees; inner[s] sums the links inside it
-        n, two_m = graph.n, 2.0 * graph.m
-        step = np.zeros((n, n + 2))
-        step[graph.edge_u, graph.edge_v] = graph.edge_w
-        step[:, :n] += step[:, :n].T
-        np.fill_diagonal(step, 0.0)  # a loop never crosses a cut
-        step[:, n] = graph.degrees
-        step[:, n + 1] = step[:, :n].sum(1)
-        table, inner = np.zeros((1 << (n - 1), n + 2)), np.zeros(1 << (n - 1))
-        for i in range(n - 1):
-            lo = 1 << i
-            inner[lo:2 * lo] = inner[:lo] + table[:lo, i]
-            table[lo:2 * lo] = table[:lo] + step[i]
-        vol, cut = table[1:, n], table[1:, n + 1] - 2.0 * inner[1:]
-        # a gamma near the float limit overflows to inf here, which
-        # certifies nothing, as it should
-        with np.errstate(over="ignore"):
-            loss = gamma * (vol * (two_m - vol) / two_m) - cut
-        certified = bool((loss < -1e-9 * graph.m).all())
-        if certified and not check:
-            return partition_stats(graph, np.zeros(n, dtype=np.int64))
+    certified = graph.n <= _CERTIFY_LIMIT and _one_community(
+        graph.n, graph.edge_u, graph.edge_v, graph.edge_w, gamma)
+    if certified and not check:
+        return partition_stats(graph, np.zeros(graph.n, dtype=np.int64))
     rng = make_rng(seed)
     base = _csr(graph)  # every level-0 phase and the chain polish read this one
     assignment = np.arange(graph.n, dtype=np.int64)
@@ -223,6 +206,39 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     del base, level  # the CSRs would otherwise add to partition_stats' peak
     assert not certified or (assignment == assignment[0]).all(), assignment
     return partition_stats(graph, assignment)
+
+
+def _one_community(n, u, v, w, gamma) -> bool:
+    """Does every bipartition of the graph on ``n`` nodes with the canonical
+    edges (u, v, w) lose to one community at ``gamma`` by more than 1e-9 * m?
+
+    This is louvain_maximize's one-community certificate (see its docstring),
+    read from the edge arrays so a caller can ask it before building a Graph.
+    ``n`` is at least 1 and the edges hold at least one unit of multiplicity.
+    """
+    # scaled by m, Q(S, S') - Q(one) for each S without the last node.
+    # Set s holds node i when bit i of s is set, so the sets from 2**i to
+    # 2**(i + 1) are those below 2**i plus node i. Row s of table sums
+    # step's rows over set s: its link weight to each node, its volume
+    # and its non-loop degrees; inner[s] sums the links inside it
+    step = np.zeros((n, n + 2))
+    step[u, v] = w
+    step[:, :n] += step[:, :n].T
+    step[:, n] = step[:, :n].sum(1)  # the degrees: a loop's 2w sits on the diagonal
+    np.fill_diagonal(step, 0.0)  # a loop never crosses a cut
+    step[:, n + 1] = step[:, :n].sum(1)
+    two_m = step[:, n].sum()
+    table, inner = np.zeros((1 << (n - 1), n + 2)), np.zeros(1 << (n - 1))
+    for i in range(n - 1):
+        lo = 1 << i
+        inner[lo:2 * lo] = inner[:lo] + table[:lo, i]
+        table[lo:2 * lo] = table[:lo] + step[i]
+    vol, cut = table[1:, n], table[1:, n + 1] - 2.0 * inner[1:]
+    # a gamma near the float limit overflows to inf here, which
+    # certifies nothing, as it should
+    with np.errstate(over="ignore"):
+        loss = gamma * (vol * (two_m - vol) / two_m) - cut
+    return bool((loss < -1e-9 * (two_m / 2)).all())
 
 
 def _chain_refine(level, gamma, check, assignment):
@@ -342,12 +358,12 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     whether any move was accepted.
 
     Until its first move every pop sees the starting state, so a phase in
-    which that state lets no node move is idle. On levels above _SKIP_LIMIT
-    nodes a phase that starts with some nodes grouped has ``_movable``
-    certify that chunk by chunk, stopping at the first chunk with a movable
-    node, and an idle phase returns right after drawing its permutation;
-    any other phase runs its queue from the first node. Neither the result
-    nor the random stream depends on the check.
+    which that state lets no node move is idle. On levels of more than
+    _SKIP_LIMIT nodes or _CHUNK entries, a phase that starts with some nodes
+    grouped has ``_movable`` certify that chunk by chunk, stopping at the
+    first chunk with a movable node, and an idle phase returns right after
+    drawing its permutation; any other phase runs its queue from the first
+    node. Neither the result nor the random stream depends on the check.
 
     There, unless coef * k_max**2 < 1, a phase that is not found idle marks
     the inert nodes with ``_inert``: every link weighs at least 1, so below
@@ -382,7 +398,7 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     order = rng.permutation(n)
     start = indptr.tolist()
     inert = set()
-    if n > _SKIP_LIMIT:
+    if n > _SKIP_LIMIT or nbr.size > _CHUNK:
         alone = sizes.max() == 1
         if not (alone or any(mask.any() for mask in
                              _movable(level, start, comm_arr, sizes, kappas, coef, min_gain))):

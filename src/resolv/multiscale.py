@@ -13,6 +13,12 @@ internal split was judged significant; leaves are subgraphs accepted as
 single communities (test nonpositive, or single-community maximizer
 output, or too small / edgeless / depth-capped). The leaves partition the
 node set and form the reported flat partition.
+
+A child is read from its slice of the parent's edges. After the size, edge
+and depth checks, a child of at most 12 nodes first gets the maximizer's
+one-community certificate; a child that passes it is a single-community
+leaf with no Graph built, no seed derived and no search, since the search
+would return that one community. Only the other children are maximized.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Graph, Partition, partition_stats, split_communities
+from .graph import Graph, Partition, _split_edges, partition_stats
 from .model_selection import OddsReport, bayes_log_odds
-from .modularity import _check_gamma, louvain_maximize
+from .modularity import _CERTIFY_LIMIT, _check_gamma, _one_community, louvain_maximize
 from .resolution import rescale_gamma
 from .seeding import _check_seed, derive_seed
 
@@ -104,11 +110,15 @@ def multiscale_detect(graph: Graph, gamma0: float = 0.5, seed: int = 0, *,
     The root graph is partitioned at gamma0 and each resulting community is
     handed to the significance test; the whole graph itself is not tested
     (an input that refuses to split just comes back as one community).
-    Every subgraph is maximized exactly once: that partition feeds the test
-    and, when the test fires, becomes the next level's split. Child seeds
-    derive from the parent's seed and the community id, so runs are
-    reproducible regardless of evaluation order. ``max_depth`` runs from 1
-    to MAX_DEPTH (256), where the tree's report still serializes.
+    A subgraph that passes the min-size, no-edges and depth checks is
+    maximized at most once: that partition feeds the test and, when the
+    test fires, becomes the next level's split. One of at most 12 nodes that
+    the one-community certificate settles is not maximized; it becomes the
+    single-community leaf the maximizer would give. Child seeds derive from
+    the parent's seed and the community id, whether or not a sibling was
+    searched, so runs are reproducible regardless of evaluation order.
+    ``max_depth`` runs from 1 to MAX_DEPTH (256), where the tree's report
+    still serializes.
     """
     if graph.m < 1:
         raise ValidationError("multiscale detection needs at least one edge")
@@ -119,22 +129,29 @@ def multiscale_detect(graph: Graph, gamma0: float = 0.5, seed: int = 0, *,
         raise ValidationError(f"max_depth must be at most {MAX_DEPTH}, got {max_depth}")
     seed = _check_seed(seed)  # a root below min_size draws nothing
 
-    def evaluate(sub: Graph, ids: np.ndarray, depth: int, node_seed: int) -> TreeNode:
+    def evaluate(ids: np.ndarray, n: int, u, v, w, depth: int, parent_seed: int,
+                 r: int) -> TreeNode:
+        m = int(w.sum())
         if depth == 0:
             geff = gamma0  # exact; rescale_gamma(gamma0, m, m) may round away from it
-        elif sub.m >= 1:
-            geff = rescale_gamma(gamma0, graph.m, sub.m)
+        elif m >= 1:
+            geff = rescale_gamma(gamma0, graph.m, m)
         else:
             geff = None
         node = TreeNode(nodes=ids, depth=depth, gamma_effective=geff)
-        if sub.n < min_size:
+        if n < min_size:
             node.reason = "min-size"
-        elif sub.m < 1:
+        elif m < 1:
             node.reason = "no-edges"
         elif depth >= max_depth:
             node.reason = "depth-capped"
+        elif n <= _CERTIFY_LIMIT and _one_community(n, u, v, w, gamma0):
+            node.reason = "single-community"  # louvain_maximize's own result
         if node.reason:
             return node
+        # the root is the input graph, run at the caller's seed
+        sub = Graph.from_arrays(n, u, v, w) if depth else graph
+        node_seed = derive_seed(parent_seed, r) if depth else parent_seed
         part = louvain_maximize(sub, gamma0, seed=node_seed)
         if part.B == 1:
             node.reason = "single-community"
@@ -145,11 +162,12 @@ def multiscale_detect(graph: Graph, gamma0: float = 0.5, seed: int = 0, *,
                 node.reason = "insignificant"
                 return node
         node.children = [
-            evaluate(sub_r, ids[local], depth + 1, derive_seed(node_seed, r))
-            for r, (local, sub_r) in enumerate(split_communities(sub, part.assignment))]
+            evaluate(ids[local], *edges, depth + 1, node_seed, r)
+            for r, (local, *edges) in enumerate(_split_edges(sub, part.assignment))]
         return node
 
-    root = evaluate(graph, np.arange(graph.n, dtype=np.int64), 0, seed)
+    root = evaluate(np.arange(graph.n, dtype=np.int64), graph.n, graph.edge_u, graph.edge_v,
+                    graph.edge_w, 0, seed, 0)
     tree = CommunityTree(root=root, gamma0=gamma0, seed=seed)
     assignment = np.full(graph.n, -1, dtype=np.int64)
     for label, node in enumerate(tree.leaves()):

@@ -499,3 +499,61 @@ def local_moving_direct(n: int, edges, gamma: float, assignment, min_gain: float
                     queued[j] = True
                     queue.append(j)
     return comm, moved
+
+
+def multiscale_reference(graph, gamma0: float, seed: int, max_depth: int, min_size: int):
+    """``multiscale_detect`` as the plain recursion it documents, built from
+    the package's public steps: every child is built by ``split_communities``
+    and given its seed, ``derive_seed(parent seed, community id)``, before
+    any check; each one that is big enough, has an edge and sits above the
+    depth cap is searched by ``louvain_maximize``, and the Bayes test below
+    the root decides whether its split is kept. Nothing is skipped, so a
+    shortcut in the package must leave every result as it is here.
+
+    Returns the tree as ``CommunityTree.to_dict`` writes it, and the leaves'
+    assignment, each leaf numbered in tree order.
+    """
+    from resolv.graph import split_communities
+    from resolv.model_selection import bayes_log_odds
+    from resolv.modularity import louvain_maximize
+    from resolv.resolution import rescale_gamma
+    from resolv.seeding import derive_seed
+
+    assignment = [None] * graph.n
+    leaves = itertools.count()
+
+    def visit(sub, ids, depth, node_seed):
+        if depth == 0:
+            geff = gamma0
+        else:
+            geff = rescale_gamma(gamma0, graph.m, sub.m) if sub.m >= 1 else None
+        node = {"nodes": ids, "depth": depth, "decision": "accepted-leaf", "reason": None,
+                "odds": None, "gamma_effective": geff, "capped": False, "children": []}
+        if sub.n < min_size:
+            node["reason"] = "min-size"
+        elif sub.m < 1:
+            node["reason"] = "no-edges"
+        elif depth >= max_depth:
+            node["reason"], node["capped"] = "depth-capped", True
+        else:
+            part = louvain_maximize(sub, gamma0, seed=node_seed)
+            if part.B == 1:
+                node["reason"] = "single-community"
+            elif depth > 0 and not (odds := bayes_log_odds(sub, part)).significant_split:
+                node["reason"], node["odds"] = "insignificant", odds.to_dict()
+            else:
+                if depth > 0:
+                    node["odds"] = odds.to_dict()
+                children = [(local, child, derive_seed(node_seed, r)) for r, (local, child)
+                            in enumerate(split_communities(sub, part.assignment))]
+                node["decision"] = "recursed"
+                node["children"] = [visit(child, [ids[i] for i in local.tolist()], depth + 1, s)
+                                    for local, child, s in children]
+        if not node["children"]:
+            label = next(leaves)
+            for i in ids:
+                assignment[i] = label
+        return node
+
+    root = visit(graph, list(range(graph.n)), 0, seed)
+    return {"gamma0": gamma0, "seed": seed, "root": root}, assignment

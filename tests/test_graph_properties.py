@@ -1,7 +1,8 @@
 """Property tests: graph construction, partition tallies, the sparse
 densities, the maximizer's levels and its movability pass against the
-plain-Python oracles in ``oracles.py``, plus exact identities of the merge
-gain and the agreement scores."""
+plain-Python oracles in ``oracles.py``, the multiscale recursion against its
+plain reference, plus exact identities of the merge gain and the agreement
+scores."""
 
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from resolv.modularity import (_TOL, _chain_refine, _csr, _inert, _local_moving,
 from resolv.seeding import make_rng
 from oracles import (ari_dense, best_bipartition_gain, canonical_multigraph, chain_refine_direct,
                      community_counts, csr_rows, density_dense, f_measure_dense,
-                     local_moving_direct, modularity_direct, movable_direct, nmi_dense,
-                     sample_fast_reference)
+                     local_moving_direct, modularity_direct, movable_direct, multiscale_reference,
+                     nmi_dense, sample_fast_reference)
 
 _modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
 hypothesis = pytest.importorskip("hypothesis")
@@ -180,16 +181,9 @@ def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
         mp.setattr(_modularity, "_CHUNK", chunk)
         assert_movable_matches_oracle(g, init, gamma)
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        runs = []
-        for limit, check in ((float("inf"), False), (0, True)):
-            mp.setattr(_modularity, "_SKIP_LIMIT", limit)
-            rng = make_rng(seed)
-            # the second phase starts where the first ended and is often idle
-            first = _local_moving(level, gamma, rng, check, init)
-            second = _local_moving(level, gamma, rng, check, first[0])
-            runs.append([(a.tolist(), moved) for a, moved in (first, second)]
-                        + [rng.bit_generator.state])
-        assert runs[0] == runs[1]
+        # the second phase starts where the first ended and is often idle
+        assert run_phases(level, gamma, seed, init, float("inf"), False) == \
+            run_phases(level, gamma, seed, init, 0, True)
 
 
 def gammas():
@@ -200,9 +194,12 @@ def gammas():
 
 def run_phases(level, gamma, seed, init, limit, check):
     """Two phases from ``init`` with _SKIP_LIMIT at ``limit``: each one's
-    assignment and moved flag, and the random stream's state after them."""
+    assignment and moved flag, and the random stream's state after them. An
+    infinite ``limit`` also lifts _CHUNK, so no level runs the numpy checks."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_modularity, "_SKIP_LIMIT", limit)
+        if limit == float("inf"):
+            mp.setattr(_modularity, "_CHUNK", limit)
         rng = make_rng(seed)
         first = _local_moving(level, gamma, rng, check, init)
         second = _local_moving(level, gamma, rng, check, first[0])
@@ -394,6 +391,31 @@ def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):
     assert calls == [] and len(inert_calls) == 1 and tallies == []
 
 
+def test_a_small_level_with_many_entries_takes_the_numpy_checks(monkeypatch):
+    # a visit costs what its row holds, so a level of at most _SKIP_LIMIT
+    # nodes whose rows hold more than _CHUNK entries is checked in numpy too.
+    # K40 with every edge tripled holds 4680 entries; each link's density
+    # 2m * 3 / 117**2 is about 1.03, below gamma 2, so every node is inert and
+    # the phase, all alone, ends after one _inert pass with no visit
+    real_inert, real_tally = _inert, _modularity._count_elements
+    inert_calls, tallies = [], []
+    monkeypatch.setattr(_modularity, "_inert",
+                        lambda *args: inert_calls.append(args) or real_inert(*args))
+    monkeypatch.setattr(_modularity, "_count_elements",
+                        lambda *args: tallies.append(args) or real_tally(*args))
+    n = 40
+    g = rv.Graph.from_edges(n, [(i, j, 3) for i in range(n) for j in range(i + 1, n)])
+    level, alone = _csr(g), np.arange(n)
+    assert n <= _modularity._SKIP_LIMIT and level[2].size == 4680 > _modularity._CHUNK
+    comm, moved = _local_moving(level, 2.0, make_rng(0), False, alone)
+    assert (comm.tolist(), moved) == (alone.tolist(), False)
+    assert len(inert_calls) == 1 and tallies == []
+    # the plain loop visits every node and agrees
+    assert run_phases(level, 2.0, 0, alone, float("inf"), False) == \
+        run_phases(level, 2.0, 0, alone, 0, False)
+    assert tallies
+
+
 class Searched(Exception):
     pass
 
@@ -463,6 +485,37 @@ def test_one_community_certificate_on_fixed_cases(n, edges, gamma, holds, parts)
     assert certified(g, gamma) == holds
     for check in (False, True):
         assert rv.louvain_maximize(g, gamma, check=check).B == parts
+
+
+@st.composite
+def planted_graphs(draw):
+    """Blocks of 2-16 nodes, each pair linked with probability p_in inside a
+    block and p_out between blocks, multiplicities 1 or 2."""
+    sizes = draw(st.lists(st.integers(2, 16), min_size=1, max_size=8), label="sizes")
+    p_in = draw(st.floats(0.3, 1.0), label="p_in")
+    p_out = draw(st.floats(0.0, 0.3), label="p_out")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="graph_seed"))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    u, v = np.triu_indices(block.size, 1)
+    keep = rng.random(u.size) < np.where(block[u] == block[v], p_in, p_out)
+    return rv.Graph.from_arrays(block.size, u[keep], v[keep], rng.integers(1, 3, keep.sum()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_graphs(), st.floats(math.log(0.05), math.log(20.0)).map(math.exp),
+       st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_multiscale_matches_the_plain_recursion(graph, gamma0, max_depth, min_size, seed):
+    # multiscale settles a child the one-community certificate holds for
+    # from its edges, after the min-size, no-edges and depth checks, and
+    # derives a child's seed only when it searches; the tree and partition
+    # must be those of the recursion that builds, seeds and searches every
+    # child that passes the checks
+    assume(graph.m >= 1)
+    part, tree = rv.multiscale_detect(graph, gamma0, seed=seed, max_depth=max_depth,
+                                      min_size=min_size)
+    want_tree, want_assignment = multiscale_reference(graph, gamma0, seed, max_depth, min_size)
+    assert tree.to_dict() == want_tree
+    assert part.assignment.tolist() == want_assignment
 
 
 @settings(max_examples=200, deadline=None)
