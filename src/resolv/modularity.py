@@ -34,13 +34,10 @@ reads no weights. A self-loop stays internal wherever its node goes, so it
 never enters a move gain, but it does count in Q and in aggregated
 super-node loops.
 
-Before any search, a graph of at most _CERTIFY_LIMIT (12) nodes is tested
-for the paper's merge condition over every bipartition (S, S'): keeping S
-and S' apart loses to one community when gamma lies below their relative
-between-density 2m * cut(S) / (vol S * vol S'). When that holds, with a
-margin, for all 2**(n - 1) - 1 bipartitions, one community is the only
-partition at which no merge pays, so it is returned without a search; the
-proof is in louvain_maximize's docstring.
+A graph on which the paper's merge condition holds for every bipartition
+ends its search in one community; multiscale reads that condition on small
+subgraphs before it searches them (``_one_community`` in multiscale.py,
+with the proof).
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import (Graph, Partition, _check_partition, _cross_edges, _merge_keys, _merge_runs,
                     _pair_counts, partition_stats)
-from .seeding import _check_seed, make_rng
+from .seeding import make_rng
 
 # largest graph that gets the chain-move refinement after greedy convergence
 _KL_LIMIT = 32
@@ -68,11 +65,6 @@ _TOL = 1e-12
 _SKIP_LIMIT = 64
 # CSR entries per chunk of the movability pass: ~0.4 MiB of temporaries
 _CHUNK = 4096
-# largest graph whose one-community optimum is tested over every bipartition
-# before a search. Each node more doubles the test's 2**(n - 1) sets and its
-# table (224 KiB at 12 nodes). On random 12-node graphs the test took 0.1-0.2
-# ms against 0.4-0.7 ms for a search; at 14 nodes ~0.55 against ~0.8 ms
-_CERTIFY_LIMIT = 12
 
 
 def modularity(graph: Graph, partition: Partition, gamma: float) -> float:
@@ -139,30 +131,15 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     of more than 64 nodes or 4096 adjacency entries, with gamma * k_max**2 /
     2m >= 1; below that bound every link gains something.
 
-    On a graph of at most 12 nodes the same condition is first read at the
-    scale of the whole graph. Splitting it into S and its complement S'
-    changes Q by (gamma * vol S * vol S' / 2m - cut(S)) / m: it loses
-    exactly when gamma lies below the pair's between-density 2m * cut(S) /
-    (vol S * vol S'). If every one of the 2**(n - 1) - 1 bipartitions loses
-    by more than 1e-9, one community is returned without a search. That
-    test is ``_one_community``, which multiscale also asks before it builds
-    a child's Graph. Its answer is the search's own result, not a shortcut:
-    for any partition P, Q(P) - Q(one) is half the sum of Q(S_r, S_r') -
-    Q(one) over P's communities, so merging all of P gains more than 1e-9,
-    and the pairwise merge gains sum to that. Some pair of P's at most 66
-    pairs gains more than 1.5e-11 > 1e-12, so a converged search cannot end
-    at P. A node of degree 0 scores 0 alone and keeps the search running.
-    With ``check`` the search runs anyway and is asserted to end in one
-    community.
+    Read at the scale of the whole graph, the same condition settles the
+    result: when every bipartition loses to one community by more than 1e-9,
+    the search ends in one community. Multiscale asks that of subgraphs of at
+    most 12 nodes before it calls this (``multiscale._one_community``, with
+    the proof); every call here searches.
     """
     _check_gamma(gamma)
-    seed = _check_seed(seed)  # the certificate below returns before any draw
     if graph.m < 1:
         raise ValidationError("modularity optimization needs at least one edge")
-    certified = graph.n <= _CERTIFY_LIMIT and _one_community(
-        graph.n, graph.edge_u, graph.edge_v, graph.edge_w, gamma)
-    if certified and not check:
-        return partition_stats(graph, np.zeros(graph.n, dtype=np.int64))
     rng = make_rng(seed)
     base = _csr(graph)  # every level-0 phase and the chain polish read this one
     assignment = np.arange(graph.n, dtype=np.int64)
@@ -204,41 +181,7 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
             break
         aggregate_idle = True
     del base, level  # the CSRs would otherwise add to partition_stats' peak
-    assert not certified or (assignment == assignment[0]).all(), assignment
     return partition_stats(graph, assignment)
-
-
-def _one_community(n, u, v, w, gamma) -> bool:
-    """Does every bipartition of the graph on ``n`` nodes with the canonical
-    edges (u, v, w) lose to one community at ``gamma`` by more than 1e-9 * m?
-
-    This is louvain_maximize's one-community certificate (see its docstring),
-    read from the edge arrays so a caller can ask it before building a Graph.
-    ``n`` is at least 1 and the edges hold at least one unit of multiplicity.
-    """
-    # scaled by m, Q(S, S') - Q(one) for each S without the last node.
-    # Set s holds node i when bit i of s is set, so the sets from 2**i to
-    # 2**(i + 1) are those below 2**i plus node i. Row s of table sums
-    # step's rows over set s: its link weight to each node, its volume
-    # and its non-loop degrees; inner[s] sums the links inside it
-    step = np.zeros((n, n + 2))
-    step[u, v] = w
-    step[:, :n] += step[:, :n].T
-    step[:, n] = step[:, :n].sum(1)  # the degrees: a loop's 2w sits on the diagonal
-    np.fill_diagonal(step, 0.0)  # a loop never crosses a cut
-    step[:, n + 1] = step[:, :n].sum(1)
-    two_m = step[:, n].sum()
-    table, inner = np.zeros((1 << (n - 1), n + 2)), np.zeros(1 << (n - 1))
-    for i in range(n - 1):
-        lo = 1 << i
-        inner[lo:2 * lo] = inner[:lo] + table[:lo, i]
-        table[lo:2 * lo] = table[:lo] + step[i]
-    vol, cut = table[1:, n], table[1:, n + 1] - 2.0 * inner[1:]
-    # a gamma near the float limit overflows to inf here, which
-    # certifies nothing, as it should
-    with np.errstate(over="ignore"):
-        loss = gamma * (vol * (two_m - vol) / two_m) - cut
-    return bool((loss < -1e-9 * (two_m / 2)).all())
 
 
 def _chain_refine(level, gamma, check, assignment):

@@ -507,8 +507,9 @@ def multiscale_reference(graph, gamma0: float, seed: int, max_depth: int, min_si
     and given its seed, ``derive_seed(parent seed, community id)``, before
     any check; each one that is big enough, has an edge and sits above the
     depth cap is searched by ``louvain_maximize``, and the Bayes test below
-    the root decides whether its split is kept. Nothing is skipped, so a
-    shortcut in the package must leave every result as it is here.
+    the root decides whether its split is kept. Nothing is skipped, here or
+    inside ``louvain_maximize``, which always searches, so multiscale's
+    one-community certificate must leave every result as it is here.
 
     Returns the tree as ``CommunityTree.to_dict`` writes it, and the leaves'
     assignment, each leaf numbered in tree order.

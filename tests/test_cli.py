@@ -637,7 +637,7 @@ def config(model, **fields):
     # a seed must be a non-negative integer
     (negative_seed("detect", "--seed", "-1"), 3),
     (negative_seed("detect", "--method", "multiscale", "--seed", "-1"), 3),
-    # louvain certifies K4 whole and returns before any draw
+    # K4, which the search keeps whole, still has its seed checked
     (lambda tmp_path: ["detect", "--graph", write_graph(
         tmp_path, [(u, v) for u in range(4) for v in range(u + 1, 4)]), "--seed", "-1"], 3),
     (negative_seed("sweep", "--seed", "-3"), 3),

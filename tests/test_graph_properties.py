@@ -21,6 +21,7 @@ from resolv.generators import _sample_fast
 from resolv.graph import _merge_keys, split_communities
 from resolv.modularity import (_TOL, _chain_refine, _csr, _inert, _local_moving, _movable,
                                _quotient_level, _scratch_q)
+from resolv.multiscale import _one_community
 from resolv.seeding import make_rng
 from oracles import (ari_dense, best_bipartition_gain, canonical_multigraph, chain_refine_direct,
                      community_counts, csr_rows, density_dense, f_measure_dense,
@@ -416,26 +417,13 @@ def test_a_small_level_with_many_entries_takes_the_numpy_checks(monkeypatch):
     assert tallies
 
 
-class Searched(Exception):
-    pass
-
-
 def certified(graph, gamma):
-    """Did louvain_maximize return without a search? Every search builds the
-    level-0 CSR first. A certified call must return the one community."""
-    def no_search(graph):
-        raise Searched
-
-    real = _modularity._csr
-    _modularity._csr = no_search
-    try:
-        part = rv.louvain_maximize(graph, gamma)
-    except Searched:
-        return False
-    finally:
-        _modularity._csr = real
-    assert part.assignment.tolist() == [0] * graph.n
-    return True
+    """Does multiscale's one-community certificate hold on the whole graph?
+    Where it does, the search it stands in for must return one community."""
+    holds = _one_community(graph.n, graph.edge_u, graph.edge_v, graph.edge_w, gamma)
+    if holds:
+        assert rv.louvain_maximize(graph, gamma).assignment.tolist() == [0] * graph.n
+    return holds
 
 
 @settings(max_examples=300, deadline=None)
@@ -446,7 +434,7 @@ def test_one_community_certificate_matches_the_bipartition_oracle(case, gamma):
     # the certificate holds exactly when every bipartition loses to one
     # community by more than 1e-9 * m, scaled by m; away from that margin it
     # must agree with the exhaustive Fraction oracle. Where it holds, the
-    # search it skips must end in one community too
+    # search it stands in for must end in one community at seeds 0-2
     n, edges = case
     assume(edges)
     g = rv.Graph.from_edges(n, edges)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,29 @@ def test_pinned_high_gamma_louvain_outputs():
     assert digest(rv.louvain_maximize(planted, gamma, seed=s)
                   for gamma in (3.0, 8.0) for s in range(3)) == (
         "dfab3bce56b2542eef497b18a7dae8142b0dae74162832992c6e5338086101df")
+
+
+def test_pinned_small_graph_louvain_outputs():
+    # sha256 as in test_pinned_louvain_outputs, over 400 seeded random
+    # multigraphs of 1-12 nodes: self-loops, multiplicities 1-3, the last
+    # nodes left isolated in about a quarter of them, gamma log-uniform in
+    # [0.02, 5]. About a third end in one community by the paper's merge
+    # condition. Update only for an announced change to the partitions.
+    import hashlib
+
+    h = hashlib.sha256()
+    for s in range(400):
+        rng = np.random.default_rng([7, s])
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(1, 3 * n + 1))
+        # endpoints among the first `top` nodes leave the rest isolated
+        top = n - int(rng.integers(1, n // 4 + 2)) if rng.random() < 0.25 and n > 1 else n
+        u, v = rng.integers(0, top, size=(2, k))
+        w = rng.integers(1, 4, size=k)
+        gamma = math.exp(rng.uniform(math.log(0.02), math.log(5.0)))
+        part = rv.louvain_maximize(rv.Graph.from_arrays(n, u, v, w), gamma, seed=s)
+        h.update(part.assignment.tobytes())
+    assert h.hexdigest() == "e58811ea4b151b1a1134cbfa8e8f309251c755efa03160fdef3eaf4d7d060ad8"
 
 
 def test_modularity_and_louvain_against_networkx():

@@ -207,3 +207,48 @@ def test_pinned_outputs_on_many_small_communities(seed, digest):
     part, tree = rv.multiscale_detect(g, 0.5, seed=seed)
     blob = part.assignment.tobytes() + json.dumps(tree.to_dict()).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_depth", [2, 32])
+def test_one_certificate_per_small_node_and_none_in_louvain(monkeypatch, max_depth):
+    # multiscale alone asks the one-community certificate: exactly once for
+    # each node of at most 12 nodes past the min-size, no-edges and depth
+    # checks, and never from inside louvain_maximize. Every binding of both
+    # functions in the package is wrapped, so a caller under any name counts
+    import importlib
+    import sys
+    multiscale = importlib.import_module("resolv.multiscale")
+    real_certificate, real_search = multiscale._one_community, multiscale.louvain_maximize
+    asked, searched, open_searches = [], [], [0]
+
+    def certificate(n, *args):
+        asked.append((n, open_searches[0] > 0))
+        return real_certificate(n, *args)
+
+    def search(graph, *args, **kwargs):
+        searched.append(graph.n)
+        open_searches[0] += 1
+        try:
+            return real_search(graph, *args, **kwargs)
+        finally:
+            open_searches[0] -= 1
+
+    wrappers = {real_certificate: certificate, real_search: search}
+    for name, module in list(sys.modules.items()):
+        if name == "resolv" or name.startswith("resolv."):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[value])
+    g, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
+        community_sizes=[10] * 60, target_degrees=np.full(600, 10.0),
+        omega_out=0.2, omega_diag=[60 - 59 * 0.2] * 60), seed=0)
+    _, tree = rv.multiscale_detect(g, 0.5, seed=0, max_depth=max_depth)
+    checked = sorted(len(node.nodes) for node in tree_nodes(tree) if len(node.nodes) <= 12
+                     and node.reason not in ("min-size", "no-edges", "depth-capped"))
+    assert checked
+    assert not any(inside for _, inside in asked)
+    assert sorted(n for n, _ in asked) == checked
+    if max_depth > 2:
+        # small nodes the certificate does not settle are searched, so the
+        # count inside louvain_maximize has calls to watch
+        assert any(n <= 12 for n in searched)

@@ -5,7 +5,7 @@ import resolv as rv
 from resolv.errors import ValidationError
 
 GRAPH = rv.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-# one community is certified optimal here, so louvain returns before any draw
+# every bipartition loses to one community here, and the seed is still checked
 TRIANGLE = rv.Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
 EPPM = rv.ExtendedPpmParams([4, 4], np.full(8, 3.0), 0.2, [4.0, 4.0])
 
