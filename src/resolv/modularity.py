@@ -96,8 +96,7 @@ def _check_gamma(gamma: float) -> None:
         raise ValidationError("gamma must be a positive finite number")
 
 
-def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
-                     check: bool = False) -> Partition:
+def louvain_maximize(graph: Graph, gamma: float, seed: int = 0) -> Partition:
     """Greedy maximization of Q(gamma).
 
     Parameters
@@ -107,11 +106,6 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     seed : a non-negative integer; drives the node visit order (one random
         permutation per node-moving phase seeds its work queue). Identical
         (graph, gamma, seed) gives an identical partition.
-    check : when True, re-derive Q from scratch after every accepted move
-        and assert it matches the incrementally tracked value within 1e-9,
-        and that the tracked value never decreases. Inert nodes (below) are
-        visited even while alone, and asserted not to move. Meant for tests;
-        it is quadratic-ish and slow on anything but small graphs.
 
     At convergence no single-node move (including detaching a node into a
     community of its own) and no pairwise community merge improves Q by
@@ -156,7 +150,7 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
         init = assignment
         cycle_moved = False
         while True:
-            comm, moved = _local_moving(level, gamma, rng, check, init)
+            comm, moved = _local_moving(level, gamma, rng, init)
             cycle_moved = cycle_moved or moved
             if not (moved or aggregate_idle):
                 break
@@ -176,7 +170,7 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
             continue
         if graph.n > _KL_LIMIT:
             break
-        assignment, polished = _chain_refine(base, gamma, check, assignment)
+        assignment, polished = _chain_refine(base, gamma, assignment)
         if not polished:
             break
         aggregate_idle = True
@@ -184,7 +178,7 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0, *,
     return partition_stats(graph, assignment)
 
 
-def _chain_refine(level, gamma, check, assignment):
+def _chain_refine(level, gamma, assignment):
     """Kernighan-Lin style rounds on ``level``, the original graph's level-0
     CSR, whose rows list a neighbour once per parallel edge (see ``_csr``).
 
@@ -276,9 +270,6 @@ def _chain_refine(level, gamma, check, assignment):
                 lj[old] -= w
                 lj[c] = lj.get(c, 0.0) + w
             cur_q += best_delta
-            if check:
-                scratch = _scratch_q(level, np.asarray(cur), gamma)
-                assert abs(scratch - cur_q) <= 1e-9, (scratch, cur_q)
             if cur_q > best_prefix_q:
                 best_prefix_q = cur_q
                 best_prefix = cur.copy()
@@ -290,7 +281,7 @@ def _chain_refine(level, gamma, check, assignment):
             return np.asarray(comm, dtype=np.int64), improved_any
 
 
-def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
+def _local_moving(level, gamma, rng, init) -> tuple[np.ndarray, bool]:
     """One node-moving phase on the CSR ``level`` (see ``_csr``).
 
     Starts from the communities in ``init`` (ids below the node count, gaps
@@ -306,7 +297,7 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     grouped has ``_movable`` certify that chunk by chunk, stopping at the
     first chunk with a movable node, and an idle phase returns right after
     drawing its permutation; any other phase runs its queue from the first
-    node. Neither the result nor the random stream depends on the check.
+    node. Neither the result nor the random stream depends on ``_movable``.
 
     There, unless coef * k_max**2 < 1, a phase that is not found idle marks
     the inert nodes with ``_inert``: every link weighs at least 1, so below
@@ -317,8 +308,7 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     its P_i, which the mask bounds, margin included, by min_gain. A phase
     whose nodes all start alone runs no ``_movable`` pass: when every node
     is inert, none can ever move and the phase is idle; otherwise the queue
-    runs with the skip. With ``check`` the queue runs and visits such nodes
-    anyway, and asserts that they stay.
+    runs with the skip.
 
     The per-node state lives in Python lists, since scalar indexing into
     numpy arrays dominates this loop. The CSR stays in numpy and each visit
@@ -348,7 +338,7 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
             return comm_arr, False
         if coef * degrees.max() ** 2 >= 1.0:
             marked = _inert(level, start, coef, min_gain, gamma)
-            if alone and marked.all() and not check:
+            if alone and marked.all():
                 return comm_arr, False
             inert = set(np.flatnonzero(marked).tolist())
     queued = [True] * n
@@ -358,7 +348,6 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
     comm = comm_arr.tolist()
     free = [c for c, size in enumerate(comm_size) if size == 0]  # sorted, a valid heap
 
-    q = _scratch_q(level, comm_arr, gamma) if check else None  # tracked only to be checked
     any_move = False
     queue = deque(order.tolist())
     # held through the loop, these raised a 250k-edge detect's peak RSS by ~1 MiB
@@ -368,8 +357,7 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
         queued[i] = False
         ci = comm[i]
         # alone and inert: every score is at most min_gain over the stay of 0
-        settled = comm_size[ci] == 1 and i in inert
-        if settled and not check:
+        if comm_size[ci] == 1 and i in inert:
             continue
         lo, hi = start[i], start[i + 1]
         nbrs = nbr[lo:hi].tolist()
@@ -408,13 +396,6 @@ def _local_moving(level, gamma, rng, check, init) -> tuple[np.ndarray, bool]:
                 if not queued[j] and comm[j] != best_c:
                     queued[j] = True
                     queue.append(j)
-            if check:
-                assert not settled, i
-                q_before = q
-                q += (best_gain - stay) / m
-                q_scratch = _scratch_q(level, np.asarray(comm), gamma)
-                assert abs(q_scratch - q) <= 1e-9, (q_scratch, q)
-                assert q > q_before
         else:
             comm_kappa[ci] += ki
     return np.asarray(comm, dtype=np.int64), any_move

@@ -23,6 +23,7 @@ from resolv.modularity import (_TOL, _chain_refine, _csr, _inert, _local_moving,
                                _quotient_level, _scratch_q)
 from resolv.multiscale import _one_community
 from resolv.seeding import make_rng
+from conftest import louvain_replayed
 from oracles import (ari_dense, best_bipartition_gain, canonical_multigraph, chain_refine_direct,
                      community_counts, csr_rows, density_dense, f_measure_dense,
                      local_moving_direct, modularity_direct, movable_direct, multiscale_reference,
@@ -123,7 +124,8 @@ def test_level_builders_match_the_graph_path(case, data):
         membership = dense[membership]
         level = _quotient_level(g0, membership, b)
         assert_rows_match_oracle(level, b, list(g.edges()))
-        # check mode reads a level's loop weight as m - nbr.size / 2
+        # _scratch_q and conftest.level_edges read a level's loop weight as
+        # m - nbr.size / 2
         loops = int(g.edge_w[g.edge_u == g.edge_v].sum())
         assert level[3].sum() / 2 - level[2].size / 2 == loops
 
@@ -182,9 +184,10 @@ def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
         mp.setattr(_modularity, "_CHUNK", chunk)
         assert_movable_matches_oracle(g, init, gamma)
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        # the second phase starts where the first ended and is often idle
-        assert run_phases(level, gamma, seed, init, float("inf"), False) == \
-            run_phases(level, gamma, seed, init, 0, True)
+        # the second phase starts where the first ended and is often idle;
+        # the oracle scores every pop from the edge list
+        assert run_phases(level, gamma, seed, init, float("inf")) == \
+            run_phases(level, gamma, seed, init, 0) == oracle_phases(g, gamma, seed, init)
 
 
 def gammas():
@@ -193,7 +196,7 @@ def gammas():
     return st.floats(math.log(0.05), math.log(100.0)).map(math.exp)
 
 
-def run_phases(level, gamma, seed, init, limit, check):
+def run_phases(level, gamma, seed, init, limit):
     """Two phases from ``init`` with _SKIP_LIMIT at ``limit``: each one's
     assignment and moved flag, and the random stream's state after them. An
     infinite ``limit`` also lifts _CHUNK, so no level runs the numpy checks."""
@@ -202,8 +205,8 @@ def run_phases(level, gamma, seed, init, limit, check):
         if limit == float("inf"):
             mp.setattr(_modularity, "_CHUNK", limit)
         rng = make_rng(seed)
-        first = _local_moving(level, gamma, rng, check, init)
-        second = _local_moving(level, gamma, rng, check, first[0])
+        first = _local_moving(level, gamma, rng, init)
+        second = _local_moving(level, gamma, rng, first[0])
     return [(a.tolist(), moved) for a, moved in (first, second)] + [rng.bit_generator.state]
 
 
@@ -211,8 +214,8 @@ def run_phases(level, gamma, seed, init, limit, check):
 @given(multigraphs(max_n=12, max_edges=30), st.data())
 def test_skipping_inert_nodes_keeps_the_loop(case, data):
     # a phase that pops an inert node alone without a visit must give the
-    # plain loop's assignment, moved flag and random stream; check mode visits
-    # it anyway and asserts that it stays. Inits in company hold inert nodes
+    # plain loop's assignment, moved flag and random stream, and those of the
+    # oracle, which visits it anyway. Inits in company hold inert nodes
     # that can still detach or move, so the skip must ask for a lone node
     n, edges = case
     g = rv.Graph.from_edges(n, edges)
@@ -224,9 +227,8 @@ def test_skipping_inert_nodes_keeps_the_loop(case, data):
     chunk = data.draw(st.sampled_from([1, 5, 4096]), label="chunk")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_modularity, "_CHUNK", chunk)
-        runs = [run_phases(_csr(g), gamma, seed, init, limit, check)
-                for limit, check in ((float("inf"), False), (0, False), (0, True))]
-        assert runs[0] == runs[1] == runs[2]
+        runs = [run_phases(_csr(g), gamma, seed, init, limit) for limit in (float("inf"), 0)]
+        assert runs[0] == runs[1] == oracle_phases(g, gamma, seed, init)
 
 
 def test_an_inert_node_in_company_is_visited():
@@ -235,7 +237,7 @@ def test_an_inert_node_in_company_is_visited():
     # detaches for 0
     level = _csr(rv.Graph.from_edges(2, [(0, 1)]))
     assert _inert(level, [0, 1, 2], 2.0, _TOL, 4.0).tolist() == [True, True]
-    runs = [run_phases(level, 4.0, 0, np.array([0, 0]), limit, False)
+    runs = [run_phases(level, 4.0, 0, np.array([0, 0]), limit)
             for limit in (float("inf"), 0)]
     assert runs[0] == runs[1] and runs[0][0][1]
 
@@ -290,7 +292,7 @@ def test_phases_on_fixed_cases(edges, init, gamma):
     g = rv.Graph.from_edges(len(init), edges)
     want = oracle_phases(g, gamma, 0, np.array(init))
     for limit in (float("inf"), 0):
-        assert run_phases(_csr(g), gamma, 0, np.array(init), limit, False) == want
+        assert run_phases(_csr(g), gamma, 0, np.array(init), limit) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -319,12 +321,12 @@ def test_phases_match_the_edge_list_oracle(case, data):
         starts.append(init)
         want = oracle_phases(graph, gamma, seed, init)
         for limit in (float("inf"), 0):
-            assert run_phases(level, gamma, seed, init, limit, False) == want
+            assert run_phases(level, gamma, seed, init, limit) == want
     # the chain polish reads level 0 only, and is held to the oracle that
     # recounts links from the edge list. From the chain's own starting Q:
     # prefixes that tie in exact arithmetic are told apart by rounding, and a
     # start one ulp off let the oracle keep another of two equally good prefixes
-    got, got_kept = _chain_refine(_csr(g), gamma, False, starts[0])
+    got, got_kept = _chain_refine(_csr(g), gamma, starts[0])
     assert (got.tolist(), got_kept) == chain_refine_direct(
         n, list(g.edges()), gamma, _TOL, starts[0].tolist(),
         q=_scratch_q(_csr(g), starts[0], gamma))
@@ -376,18 +378,18 @@ def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):
     g, _ = rv.make_plateau_fixture(0)
     assert g.n > _modularity._SKIP_LIMIT
     level, alone = _csr(g), np.arange(g.n)
-    assert _local_moving(level, 1.0, make_rng(0), False, alone // 2)[1]
+    assert _local_moving(level, 1.0, make_rng(0), alone // 2)[1]
     assert [read for _, read in calls] == [1]
     calls.clear()
     rv.louvain_maximize(g, 1.0, seed=0)
     args, read = calls[-1]
     assert read == len(list(real(*args))) > 1
     calls.clear()
-    assert _local_moving(level, 1.0, make_rng(0), False, alone)[1]
+    assert _local_moving(level, 1.0, make_rng(0), alone)[1]
     assert calls == [] and tallies
     inert_calls.clear()
     tallies.clear()
-    comm, moved = _local_moving(level, 100.0, make_rng(0), False, alone)
+    comm, moved = _local_moving(level, 100.0, make_rng(0), alone)
     assert (comm.tolist(), moved) == (alone.tolist(), False)
     assert calls == [] and len(inert_calls) == 1 and tallies == []
 
@@ -408,12 +410,11 @@ def test_a_small_level_with_many_entries_takes_the_numpy_checks(monkeypatch):
     g = rv.Graph.from_edges(n, [(i, j, 3) for i in range(n) for j in range(i + 1, n)])
     level, alone = _csr(g), np.arange(n)
     assert n <= _modularity._SKIP_LIMIT and level[2].size == 4680 > _modularity._CHUNK
-    comm, moved = _local_moving(level, 2.0, make_rng(0), False, alone)
+    comm, moved = _local_moving(level, 2.0, make_rng(0), alone)
     assert (comm.tolist(), moved) == (alone.tolist(), False)
     assert len(inert_calls) == 1 and tallies == []
     # the plain loop visits every node and agrees
-    assert run_phases(level, 2.0, 0, alone, float("inf"), False) == \
-        run_phases(level, 2.0, 0, alone, 0, False)
+    assert run_phases(level, 2.0, 0, alone, float("inf")) == run_phases(level, 2.0, 0, alone, 0)
     assert tallies
 
 
@@ -445,7 +446,7 @@ def test_one_community_certificate_matches_the_bipartition_oracle(case, gamma):
         assert holds == (best is None or best < margin), (best, margin)
     if holds:
         for seed in range(3):
-            assert rv.louvain_maximize(g, gamma, seed=seed, check=True).B == 1
+            assert louvain_replayed(g, gamma, seed=seed).B == 1
 
 
 K2 = [(0, 1)]
@@ -466,13 +467,16 @@ K10 = [(i, j) for i in range(10) for j in range(i + 1, 10)]
     # an isolated node scores 0 alone, and the search leaves it alone
     (4, [(0, 1), (1, 2), (0, 2)], 0.5, False, 2),
     (3, [(0, 1), (1, 2), (0, 2)], 0.5, True, 1),
+    # two disjoint triangles: the bipartition between them cuts nothing and
+    # gains gamma * vol S * vol S' / 2m > 0 at any gamma, so no disconnected
+    # graph is settled, and the search splits them even at gamma 0.01
+    (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 0.01, False, 2),
 ], ids=["one-node-loop", "k2-below", "k2-at-density", "k2-within-margin", "k10-below",
-        "k10-above", "isolated-node", "triangle"])
+        "k10-above", "isolated-node", "triangle", "two-triangles-apart"])
 def test_one_community_certificate_on_fixed_cases(n, edges, gamma, holds, parts):
     g = rv.Graph.from_edges(n, edges)
     assert certified(g, gamma) == holds
-    for check in (False, True):
-        assert rv.louvain_maximize(g, gamma, check=check).B == parts
+    assert rv.louvain_maximize(g, gamma).B == louvain_replayed(g, gamma).B == parts
 
 
 @st.composite

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import resolv as rv
-from conftest import as_mapping, random_multigraph
+from conftest import as_mapping, louvain_replayed, random_multigraph
 from oracles import best_partition_q, chain_refine_direct, modularity_direct, set_partitions
 
 
@@ -67,7 +67,7 @@ def test_delta_merge_consistent_with_recompute():
 
 
 def test_louvain_two_triangles(two_triangles):
-    p = rv.louvain_maximize(two_triangles, 1.0, seed=0, check=True)
+    p = louvain_replayed(two_triangles, 1.0, seed=0)
     assert p.B == 2
     assert p.assignment[0] == p.assignment[1] == p.assignment[2]
     assert p.assignment[3] == p.assignment[4] == p.assignment[5]
@@ -75,7 +75,7 @@ def test_louvain_two_triangles(two_triangles):
 
 def test_louvain_single_clique_stays_whole():
     g = rv.make_clique(6)
-    p = rv.louvain_maximize(g, 1.0, seed=2, check=True)
+    p = louvain_replayed(g, 1.0, seed=2)
     assert p.B == 1
 
 
@@ -88,7 +88,7 @@ def test_louvain_deterministic_per_seed(two_k6_bridge):
 def test_louvain_handles_multiplicities_and_loops():
     # heavy parallel edges should dominate the grouping
     g = rv.Graph.from_edges(4, [(0, 1, 10), (2, 3, 10), (1, 2, 1), (0, 0, 3)])
-    p = rv.louvain_maximize(g, 1.0, seed=0, check=True)
+    p = louvain_replayed(g, 1.0, seed=0)
     assert p.assignment[0] == p.assignment[1]
     assert p.assignment[2] == p.assignment[3]
     assert p.assignment[1] != p.assignment[2]
@@ -99,7 +99,7 @@ def test_louvain_near_exhaustive_optimum_small():
     for trial in range(15):
         n, edges = random_multigraph(rng, n_max=7)
         g = rv.Graph.from_edges(n, edges)
-        p = rv.louvain_maximize(g, 1.0, seed=trial, check=True)
+        p = louvain_replayed(g, 1.0, seed=trial)
         q = rv.modularity(g, p, 1.0)
         q_opt = best_partition_q(n, list(g.edges()), 1.0)
         assert q >= 0.999 * q_opt - 1e-12
@@ -107,12 +107,12 @@ def test_louvain_near_exhaustive_optimum_small():
 
 def test_louvain_local_optimality_post_condition():
     rng = np.random.default_rng(14)
-    cases = []  # (graph, gamma, seed, check)
+    cases = []  # (graph, gamma, seed, replayed)
     for trial in range(10):
         n, edges = random_multigraph(rng, n_max=10)
         cases.append((rv.Graph.from_edges(n, edges), float(rng.uniform(0.3, 2.5)), trial, False))
-    # 20-32 nodes with loops and parallel edges: check=True asserts the
-    # chain refinement's tracked Q after every step in this range too
+    # 20-32 nodes with loops and parallel edges: the oracles replay every
+    # phase and chain polish in this range too
     planted, _ = rv.sample_extended_ppm(rv.ExtendedPpmParams(
         community_sizes=[9] * 3, target_degrees=np.full(27, 5.0),
         omega_out=0.3, omega_diag=[3.0] * 3), seed=4)
@@ -127,9 +127,9 @@ def test_louvain_local_optimality_post_condition():
     # greedy cycle aggregates its idle first phase
     for seed, gamma in ((24, 1.0), (28, 2.0), (64, 2.0)):
         cases.append((rv.sample_er(24, 60, seed), gamma, seed, False))
-    for g, gamma, seed, check in cases:
+    for g, gamma, seed, replayed in cases:
         n = g.n
-        p = rv.louvain_maximize(g, gamma, seed=seed, check=check)
+        p = (louvain_replayed if replayed else rv.louvain_maximize)(g, gamma, seed=seed)
         q = rv.modularity(g, p, gamma)
         # no pairwise merge helps
         edges = list(g.edges())
@@ -195,7 +195,7 @@ def test_chain_refine_matches_direct_reference():
         g = rv.Graph.from_edges(n, edges)
         gamma = float(rng.uniform(0.3, 2.5))
         start = rng.integers(0, 3, size=n)
-        got, got_kept = _chain_refine(_csr(g), gamma, False, start)
+        got, got_kept = _chain_refine(_csr(g), gamma, start)
         want, want_kept = chain_refine_direct(n, list(g.edges()), gamma, 1e-12, start.tolist())
         assert got.tolist() == want
         assert got_kept == want_kept
@@ -329,11 +329,13 @@ def test_louvain_reaches_networkx_where_aggregation_falls_short():
 
 
 @pytest.mark.parametrize("gamma", [0.5, 3.0, 20.0])
-def test_louvain_check_mode_on_multi_level_graph(gamma):
-    # 112 nodes: the incremental-Q asserts run inside the queue on every
-    # level, not only on the tiny graphs the other check=True tests use
+def test_louvain_phases_match_the_oracles_on_multi_level_graph(gamma):
+    # 112 nodes: the oracles replay the queue on every level, the numpy idle
+    # and inert checks included, not only on the tiny graphs of the other
+    # replayed tests
     g, _ = rv.make_plateau_fixture(seed=0)
-    p = rv.louvain_maximize(g, gamma, seed=0, check=True)
+    assert g.n > 64
+    p = louvain_replayed(g, gamma, seed=0)
     plain = rv.louvain_maximize(g, gamma, seed=0)
     assert p.assignment.tolist() == plain.assignment.tolist()
 
@@ -463,7 +465,7 @@ def test_first_level_build_peak_on_a_unit_edge_graph():
     from resolv.modularity import _csr, _local_moving, _quotient_level
     from resolv.seeding import make_rng
     g = unit_edge_graph()
-    comm, _ = _local_moving(_csr(g), 1.0, make_rng(0), False, np.arange(g.n))
+    comm, _ = _local_moving(_csr(g), 1.0, make_rng(0), np.arange(g.n))
     dense = np.unique(comm, return_inverse=True)[1]
     b = int(dense.max()) + 1
     assert traced_peak(g, lambda: _quotient_level(g, dense, b)) < 0.55
