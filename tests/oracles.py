@@ -401,6 +401,32 @@ def chain_refine_direct(n: int, edges, gamma: float, tol: float, assignment, q=N
             return comm, improved
 
 
+def components_direct(n: int, edges, assignment):
+    """Per node, the smallest node of its connected component inside its
+    own community: a breadth-first search from each node not yet reached,
+    in node order, over the (u, v, multiplicity) edges whose two ends share
+    a community. A community is connected when all its nodes get one label."""
+    adjacent = [[] for _ in range(n)]
+    for u, v, _ in edges:
+        if assignment[u] == assignment[v]:
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+    label = [None] * n
+    for s in range(n):
+        if label[s] is None:
+            label[s] = s
+            frontier = [s]
+            while frontier:
+                reached = []
+                for x in frontier:
+                    for y in adjacent[x]:
+                        if label[y] is None:
+                            label[y] = s
+                            reached.append(y)
+                frontier = reached
+    return label
+
+
 def movable_direct(n: int, edges, gamma: float, assignment, min_gain: float):
     """Each node's best single move from ``assignment``, judged alone.
 
