@@ -21,22 +21,23 @@ original graph in which no node moves certifies local optimality. Louvain
 can leave a community in pieces (Traag, Waltman & van Eck 2019), so before
 the search ends each community is split into its connected components,
 which only raises Q, and the cycles run on from there; every returned
-community is connected. On levels
-of more than _SKIP_LIMIT nodes or _CHUNK adjacency entries a phase that
-starts with some nodes grouped first checks in numpy, chunk by chunk,
-whether any node could move from its starting state; a phase in which none
-can is idle and ends without a Python visit, while any other phase runs its
-whole queue. A phase there also marks the inert nodes, reading the paper's
-density condition at the scale of one node: a node whose every link is
-sparser than gamma (2m * w_ij / (k_i * k_j) <= gamma) gains nothing by
-joining any community, so while it sits alone the queue pops it without a
-visit. A phase whose nodes all start
-alone asks only that: every node inert makes it idle. Multiplicities and
-self-loops are honored throughout. Every level lists a neighbour once per
-unit of multiplicity, so a visit counts its links per community in C and
-reads no weights. A self-loop stays internal wherever its node goes, so it
-never enters a move gain, but it does count in Q and in aggregated
-super-node loops.
+community is connected.
+
+On levels of more than _SKIP_LIMIT nodes or _CHUNK adjacency entries a
+phase that starts with some nodes grouped first checks in numpy, chunk by
+chunk, whether any node could move from its starting state; a phase in
+which none can is idle and ends without a Python visit, while any other
+phase runs its whole queue. A phase there also marks the inert nodes,
+reading the paper's density condition at the scale of one node: a node
+whose every link is sparser than gamma (2m * w_ij / (k_i * k_j) <= gamma)
+gains nothing by joining any community, so while it sits alone the queue
+pops it without a visit. A phase whose nodes all start alone asks only
+that: every node inert makes it idle. Multiplicities and self-loops are
+honored throughout. Every level lists a neighbour once per unit of
+multiplicity, so a visit counts its links per community in C and reads no
+weights. A self-loop stays internal wherever its node goes, so it never
+enters a move gain, but it does count in Q and in aggregated super-node
+loops.
 
 A graph on which the paper's merge condition holds for every bipartition
 ends its search in one community; multiscale reads that condition on small
@@ -180,7 +181,7 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0) -> Partition:
         assignment = comm[membership]
         if cycle_moved:
             continue
-        if graph.n <= _KL_LIMIT:
+        if 1 < graph.n <= _KL_LIMIT:  # one node has one partition
             assignment, polished = _chain_refine(base, gamma, assignment)
             if polished:
                 aggregate_idle = True
@@ -214,6 +215,9 @@ def _chain_refine(level, gamma, assignment):
     nonempty communities (``live``), and those plus the lowest empty one
     (``with_fresh``). A node alone in its community gains nothing by
     detaching, so it scans ``live``; every other node scans ``with_fresh``.
+    ``level`` has at least two nodes, so every step has a move: a node alone
+    can join a community of the others, and a node in company can detach
+    into an empty one. A round's chain moves every node once.
     """
     n, indptr, nbr, degrees = level
     m = float(degrees.sum()) / 2.0
@@ -250,12 +254,11 @@ def _chain_refine(level, gamma, assignment):
         locked = [False] * n
         cur_q = q
         best_prefix_q = -np.inf
-        best_prefix = None
         for _ in range(n):
             live = [c for c in range(n) if size[c]]
             fresh = size.index(0) if len(live) < n else -1
             with_fresh = [c for c in range(n) if size[c] or c == fresh]
-            best_delta, best_v, best_c = -np.inf, -1, -1
+            best_delta = -np.inf
             for v in range(n):
                 if locked[v]:
                     continue
@@ -271,8 +274,6 @@ def _chain_refine(level, gamma, assignment):
                     # scan order is ascending (v, c), so first-seen wins ties
                     if delta > best_delta:
                         best_delta, best_v, best_c = delta, v, c
-            if best_v < 0:
-                break
             v, c = best_v, best_c
             old = cur[v]
             cur[v] = c
@@ -289,7 +290,7 @@ def _chain_refine(level, gamma, assignment):
             if cur_q > best_prefix_q:
                 best_prefix_q = cur_q
                 best_prefix = cur.copy()
-        if best_prefix is not None and best_prefix_q > start_q + _TOL:
+        if best_prefix_q > start_q + _TOL:
             comm = best_prefix
             q = best_prefix_q
             improved_any = True
@@ -328,8 +329,9 @@ def _split_components(graph: Graph, assignment):
             label = root
         if (label == before).all():
             break
-    split = np.count_nonzero(label == np.arange(graph.n)) > np.count_nonzero(np.bincount(assignment))
-    return (label, True) if split else (assignment, False)
+    if np.count_nonzero(label == np.arange(graph.n)) == np.count_nonzero(np.bincount(assignment)):
+        return assignment, False
+    return label, True
 
 
 def _local_moving(level, gamma, rng, init) -> tuple[np.ndarray, bool]:

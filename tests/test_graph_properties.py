@@ -322,14 +322,16 @@ def test_phases_match_the_edge_list_oracle(case, data):
         want = oracle_phases(graph, gamma, seed, init)
         for limit in (float("inf"), 0):
             assert run_phases(level, gamma, seed, init, limit) == want
-    # the chain polish reads level 0 only, and is held to the oracle that
-    # recounts links from the edge list. From the chain's own starting Q:
-    # prefixes that tie in exact arithmetic are told apart by rounding, and a
-    # start one ulp off let the oracle keep another of two equally good prefixes
-    got, got_kept = _chain_refine(_csr(g), gamma, starts[0])
-    assert (got.tolist(), got_kept) == chain_refine_direct(
-        n, list(g.edges()), gamma, _TOL, starts[0].tolist(),
-        q=_scratch_q(_csr(g), starts[0], gamma))
+    # the chain polish reads level 0 only, of 2-32 nodes, and is held to the
+    # oracle that recounts links from the edge list. From the chain's own
+    # starting Q: prefixes that tie in exact arithmetic are told apart by
+    # rounding, and a start one ulp off let the oracle keep another of two
+    # equally good prefixes
+    if n > 1:
+        got, got_kept = _chain_refine(_csr(g), gamma, starts[0])
+        assert (got.tolist(), got_kept) == chain_refine_direct(
+            n, list(g.edges()), gamma, _TOL, starts[0].tolist(),
+            q=_scratch_q(_csr(g), starts[0], gamma))
     # the quotient level's rows, and its Q with every super-node alone, are
     # those of the quotient graph
     level = _quotient_level(g, dense, b)
