@@ -287,7 +287,13 @@ def oracle_phases(graph, gamma, seed, init):
     # here a node queued again for each repeated entry of a moved neighbour
     # is visited twice, and the phase ends elsewhere
     ([(0, 1, 1), (0, 3, 2), (1, 2, 4), (2, 3, 3)], [1, 1, 0, 3], 1.5),
-], ids=["tally-repeats", "requeue-once"])
+    # a community that all its nodes leave is free again, and a later
+    # detach takes the lowest free id
+    ([(3, 0, 2), (3, 3, 3), (2, 1, 3), (2, 3, 1), (0, 1, 1)], [0, 1, 0, 1], 1.5),
+    # node 2 scores exactly 0 for joining community 0 and for detaching into
+    # empty community 2: the tie goes to the smaller id
+    ([(1, 2, 3), (0, 0, 3)], [1, 0, 1], 4.0),
+], ids=["tally-repeats", "requeue-once", "freed-id", "zero-gain-tie"])
 def test_phases_on_fixed_cases(edges, init, gamma):
     g = rv.Graph.from_edges(len(init), edges)
     want = oracle_phases(g, gamma, 0, np.array(init))
