@@ -81,7 +81,8 @@ def louvain_replayed(graph, gamma, seed=0):
         got, kept = chain_refine(level, gamma, assignment)
         edges = level_edges(level)
         start = np.asarray(assignment).tolist()
-        # the chain sums Q from its own start, as the tie test below it does
+        # prefixes that tie in exact arithmetic differ by rounding, so the
+        # oracle sums Q from the chain's own start
         q = modularity._scratch_q(level, np.asarray(assignment), gamma)
         assert (got.tolist(), kept) == chain_refine_direct(
             level[0], edges, gamma, modularity._TOL, start, q=q)

@@ -196,9 +196,10 @@ def disconnected(graph, assignment):
 @pytest.mark.parametrize("n, m", [(300, 600), (1000, 2500)])
 def test_every_community_is_connected(n, m):
     # Louvain can leave a community in pieces (Traag, Waltman & van Eck
-    # 2019). Without the component split, 6 of these 150 runs did, among them
-    # seeds 4 and 8 at gamma 3 on ER(300, 600), and one multiscale leaf did:
-    # a leaf is a community of a subgraph, so it inherits the guarantee
+    # 2019). Without the component split, 6 of the 150 louvain runs over both
+    # graphs did (seeds 4 and 8 at gamma 3 on ER(300, 600) among them), and
+    # so did one multiscale leaf of 837: a leaf is a community of a subgraph,
+    # so it inherits the guarantee
     for s in range(15):
         g = rv.sample_er(n, m, s)
         for gamma in (0.3, 0.7, 1.0, 1.5, 3.0):
