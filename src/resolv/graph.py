@@ -2,17 +2,16 @@
 
 Every graph comes from one builder, ``Graph.from_arrays``: loaded edge
 lists, sampled graphs and induced subgraphs. Pairs are counted one way,
-by ``_merge_keys``: the builder's parallel edges, and the community pairs
-of a graph's cross edges (``_pair_counts``), which are a ``Partition``'s
-inter-community pairs and every aggregated Louvain level alike. Keys of
-unit weight, which are every loaded or sampled edge and the contingency
-cells of ``metrics``, merge by an in-place sort that counts each key's
-run, so no stage from the load to ``partition_stats`` builds an
-edge-sized index array or an array of ones. The Louvain maximizer works
-on CSR arrays instead: it builds one from its input graph, and each
-aggregated level from the community pairs of that graph's cross edges
-(see ``modularity._csr`` and ``modularity._quotient_level``). Every level's
-rows list a neighbour once per unit of multiplicity and hold no weights.
+by ``_merge_keys``: the builder's parallel edges, and a ``Partition``'s
+inter-community pairs. Keys of unit weight, which are every loaded or
+sampled edge and the contingency cells of ``metrics``, merge by an
+in-place sort that counts each key's run, so no stage from the load to
+``partition_stats`` builds an edge-sized index array or an array of ones.
+The Louvain maximizer works on CSR arrays instead, one builder for every
+level: level 0 from its input graph's edges, and each aggregated level
+from the community ids of that graph's cross edges (``_cross_edges``).
+Every level's rows list a neighbour once per unit of multiplicity and
+hold no weights.
 
 Conventions used everywhere downstream:
 
@@ -373,8 +372,18 @@ class Partition:
         yield from zip(*(a.tolist() for a in self._inter_arrays()))
 
     def _inter_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``inter_pairs`` as three int64 arrays: r, s and count."""
-        return _pair_counts(*self._cross, self.B)
+        """``inter_pairs`` as three int64 arrays: r, s and count.
+
+        The pair keys r * B + s are int64, since B**2 can pass 2**31, and are
+        built and divided back in place.
+        """
+        cu, cv, w = self._cross
+        keys = np.minimum(cu, cv, dtype=np.int64)
+        keys *= self.B
+        keys += np.maximum(cu, cv)
+        keys, counts = _merge_keys(keys, w)
+        r, s = np.divmod(keys, self.B, out=(keys, None))  # r in place of keys
+        return r, s, counts
 
 
 def _cross_edges(graph: Graph, dense) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,21 +395,6 @@ def _cross_edges(graph: Graph, dense) -> tuple[np.ndarray, np.ndarray, np.ndarra
     cv = dense[graph.edge_v]
     cross = cu != cv
     return cu[cross], cv[cross], graph.edge_w[cross]
-
-
-def _pair_counts(cu, cv, w, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The community pairs r < s that the cross edges (cu, cv, w) link, in
-    increasing (r, s) order, and each pair's summed ``w``: three int64 arrays.
-
-    The keys r * B + s are int64, since B**2 can pass 2**31, and are built
-    and divided back in place.
-    """
-    keys = np.minimum(cu, cv, dtype=np.int64)
-    keys *= B
-    keys += np.maximum(cu, cv)
-    keys, counts = _merge_keys(keys, w)
-    r, s = np.divmod(keys, B, out=(keys, None))  # r in place of keys
-    return r, s, counts
 
 
 def partition_stats(graph: Graph, assignment) -> Partition:

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import (Graph, Partition, _check_partition, _cross_edges, _merge_keys, _merge_runs,
-                    _pair_counts, partition_stats)
+                    partition_stats)
 from .seeding import make_rng
 
 # largest graph that gets the chain-move refinement after greedy convergence
@@ -148,7 +148,8 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0) -> Partition:
     if graph.m < 1:
         raise ValidationError("modularity optimization needs at least one edge")
     rng = make_rng(seed)
-    base = _csr(graph)  # every level-0 phase and the chain polish read this one
+    # every level-0 phase and the chain polish read this one
+    base = _level(graph.n, graph.edge_u, graph.edge_v, graph.edge_w, graph.degrees)
     assignment = np.arange(graph.n, dtype=np.int64)
     # Each cycle restarts from the original graph, seeded by the current
     # result: aggregation alone only certifies against super-node moves, while
@@ -176,7 +177,8 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0) -> Partition:
                 # a lone super-node cannot move, and rng.permutation(1) draws nothing
                 comm = np.zeros(1, dtype=np.int64)
                 break
-            level = _quotient_level(graph, membership, b)
+            level = _level(b, *_cross_edges(graph, membership),
+                           np.bincount(membership, weights=graph.degrees, minlength=b))
             init = np.arange(b, dtype=np.int64)  # fresh super-nodes start as singletons
         assignment = comm[membership]
         if cycle_moved:
@@ -197,7 +199,7 @@ def louvain_maximize(graph: Graph, gamma: float, seed: int = 0) -> Partition:
 
 def _chain_refine(level, gamma, assignment):
     """Kernighan-Lin style rounds on ``level``, the original graph's level-0
-    CSR, whose rows list a neighbour once per parallel edge (see ``_csr``).
+    CSR, whose rows list a neighbour once per parallel edge (see ``_level``).
 
     Each round greedily chains single-node moves with the moved node locked
     afterwards, tracking Q along the chain; steps may go downhill. If the
@@ -335,7 +337,7 @@ def _split_components(graph: Graph, assignment):
 
 
 def _local_moving(level, gamma, rng, init) -> tuple[np.ndarray, bool]:
-    """One node-moving phase on the CSR ``level`` (see ``_csr``).
+    """One node-moving phase on the CSR ``level`` (see ``_level``).
 
     Starts from the communities in ``init`` (ids below the node count, gaps
     allowed). Every node is queued once in a random order; after an accepted
@@ -367,7 +369,7 @@ def _local_moving(level, gamma, rng, init) -> tuple[np.ndarray, bool]:
     numpy arrays dominates this loop. The CSR stays in numpy and each visit
     converts only its own slice: lists of the whole CSR took a 250k-edge
     ``detect`` from 70 to 91 MiB peak RSS. Every row repeats a neighbour
-    once per unit of multiplicity (see ``_rows``), so a visit tallies its
+    once per unit of multiplicity (see ``_level``), so a visit tallies its
     neighbours' communities with ``collections._count_elements`` and reads
     no weights; the integer counts are exact, so every gain and tie is what
     summed float weights give. The phase only reads ``level``;
@@ -533,71 +535,52 @@ def _inert(level, start, coef, min_gain, gamma):
     return inert
 
 
-def _csr(graph: Graph):
-    """The maximizer's view of ``graph``: the level tuple (n, indptr, nbr,
-    degrees) that ``_rows`` builds from its edges, with the float
-    ``degrees`` of the graph, self-loops included.
+def _level(n, u, v, w, degrees):
+    """Level tuple (n, indptr, nbr, degrees) of the multigraph on ``n``
+    nodes whose edges (u, v) have multiplicities ``w``, with the float
+    ``degrees`` of its nodes, loops included.
 
-    The rows are built without an edge-sized index array: each edge's ends
-    are repeated by its multiplicity, a loop's 0 times, with no masked copy
-    of the edge arrays, and ``_rows`` orders the lower ends by an in-place sort.
-    """
-    reps = np.where(graph.edge_u != graph.edge_v, graph.edge_w, 0)
-    u = graph.edge_u.astype(np.int32).repeat(reps)
-    v = graph.edge_v.astype(np.int32).repeat(reps)
-    del reps  # the rows below set the peak
-    return _rows(graph.n, u, v, graph.degrees.astype(np.float64))
-
-
-def _quotient_level(graph: Graph, membership, b):
-    """The level tuple whose b nodes are the communities ``membership`` of
-    ``graph``'s nodes: the quotient of the input graph, not of the level
-    before.
-
-    Its edges are the community pairs that ``graph``'s cross edges link
-    (``graph._pair_counts``), each repeated by its summed multiplicity, so
-    its rows take level 0's format; edges inside a community become loops,
-    which only the degrees keep. Every multiplicity and degree is an
-    integer sum, exact in any order, so the level is the one that
-    aggregating the previous level's rows would give.
-    """
-    r, s, reps = _pair_counts(*_cross_edges(graph, membership), b)
-    u = r.astype(np.int32).repeat(reps)
-    v = s.astype(np.int32).repeat(reps)
-    del r, s, reps  # the rows below set the peak
-    return _rows(b, u, v, np.bincount(membership, weights=graph.degrees, minlength=b))
-
-
-def _rows(n, u, v, degrees):
-    """Level tuple (n, indptr, nbr, degrees) from loop-free edges u < v
-    sorted by (u, v), each repeated once per unit of multiplicity.
+    The edges come in any order and either orientation; loops get no entry,
+    since only the degrees keep them. Each edge is listed once per unit of
+    multiplicity, so this builds level 0 from the input graph's arrays and
+    each aggregated level, the quotient of the input graph by its current
+    communities, from the cross edges' community ids (``graph._cross_edges``)
+    alike. Every multiplicity and degree is an integer sum, exact in any
+    order, so a quotient level is the one that aggregating the previous
+    level's rows would give.
 
     Row i of the CSR (``nbr`` from ``indptr[i]`` to ``indptr[i + 1]``) holds
-    first the edges where i is u, already in v order, then those where i is
-    v, in u order, so a neighbour's repeats sit side by side; that is the
-    order a moved node requeues them in. The keys v * n + u sorted in place
-    give the u order with no index array. ``nbr`` holds int32 ids, 4 bytes
-    an entry, and no weights: each entry weighs 1, so a level's loop weight
-    is m - nbr.size / 2 with m = sum(degrees) / 2.
+    first its edges to higher nodes in ascending order, then those to lower
+    nodes in ascending order, so a neighbour's repeats sit side by side; that
+    is the order a moved node requeues them in. Each side is ordered by an
+    in-place sort of int64 keys, lower end * n + upper end and then upper
+    end * n + lower end, with no index array; the first is freed before the
+    second is built. ``nbr`` holds int32 ids, 4 bytes an entry, and no
+    weights: each entry weighs 1, so a level's loop weight is
+    m - nbr.size / 2 with m = sum(degrees) / 2.
     """
-    sides = np.empty(2 * n, dtype=np.int64)  # per row: u-side count, v-side count
-    sides[0::2] = np.bincount(u, minlength=n)
-    sides[1::2] = np.bincount(v, minlength=n)
+    reps = np.where(u != v, w, 0)
+    lo = np.minimum(u, v, dtype=np.int32, casting="unsafe").repeat(reps)
+    hi = np.maximum(u, v, dtype=np.int32, casting="unsafe").repeat(reps)
+    del reps  # the rows below set the peak
+    sides = np.empty(2 * n, dtype=np.int64)  # per row: higher-side count, lower-side count
+    sides[0::2] = np.bincount(lo, minlength=n)
+    sides[1::2] = np.bincount(hi, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sides[0::2] + sides[1::2], out=indptr[1:])
     nbr = np.empty(indptr[-1], dtype=np.int32)
-    # a mask assignment fills its slots in ascending order
-    u_side = np.repeat(np.arange(2 * n) % 2 == 0, sides)
-    nbr[u_side] = v
-    # equal keys are repeats of one edge, so this puts the lower ends in the
-    # order a stable sort on v would
-    low = np.multiply(v, n, dtype=np.int64)
-    low += u
-    low.sort()
-    low %= n
-    np.logical_not(u_side, out=u_side)
-    nbr[u_side] = low
-    return n, indptr, nbr, degrees
+    side = np.repeat(np.arange(2 * n) % 2 == 0, sides)  # the higher side, then the lower
+    for a, b in ((lo, hi), (hi, lo)):
+        keys = np.multiply(a, n, dtype=np.int64)
+        keys += b
+        # equal keys are repeats of one edge, and a mask assignment fills
+        # its slots in ascending order
+        keys.sort()
+        keys %= n
+        nbr[side] = keys
+        del keys  # freed before the other side's keys are built
+        np.logical_not(side, out=side)
+    return n, indptr, nbr, degrees.astype(np.float64)
 
 
 def _scratch_q(level, comm, gamma) -> float:

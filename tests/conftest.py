@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import resolv as rv
+from resolv.graph import _cross_edges
+from resolv.modularity import _level
 from oracles import chain_refine_direct, local_moving_direct, modularity_direct
 
 
@@ -39,6 +41,20 @@ def two_triangles() -> rv.Graph:
 @pytest.fixture
 def two_k6_bridge() -> rv.Graph:
     return rv.Graph.from_edges(12, clique_edges(0, 6) + clique_edges(6, 6) + [(0, 6)])
+
+
+def level_zero(graph):
+    """The maximizer's level 0 of ``graph``, built as ``louvain_maximize``
+    builds it."""
+    return _level(graph.n, graph.edge_u, graph.edge_v, graph.edge_w, graph.degrees)
+
+
+def quotient_level(graph, membership, b):
+    """The maximizer's level whose ``b`` nodes are the communities
+    ``membership`` of ``graph``'s nodes, built as ``louvain_maximize`` builds
+    an aggregated level: from the community ids of the cross edges."""
+    return _level(b, *_cross_edges(graph, membership),
+                  np.bincount(membership, weights=graph.degrees, minlength=b))
 
 
 def level_edges(level):

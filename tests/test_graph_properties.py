@@ -18,12 +18,12 @@ import pytest
 
 import resolv as rv
 from resolv.generators import _sample_fast
-from resolv.graph import _merge_keys, split_communities
-from resolv.modularity import (_TOL, _chain_refine, _csr, _inert, _local_moving, _movable,
-                               _quotient_level, _scratch_q)
+from resolv.graph import _cross_edges, _merge_keys, split_communities
+from resolv.modularity import (_TOL, _chain_refine, _inert, _level, _local_moving, _movable,
+                               _scratch_q)
 from resolv.multiscale import _one_community
 from resolv.seeding import make_rng
-from conftest import louvain_replayed
+from conftest import level_zero, louvain_replayed, quotient_level
 from oracles import (ari_dense, best_bipartition_gain, canonical_multigraph, chain_refine_direct,
                      community_counts, csr_rows, density_dense, f_measure_dense,
                      local_moving_direct, modularity_direct, movable_direct, multiscale_reference,
@@ -102,6 +102,19 @@ def assert_rows_match_oracle(level, n, edges):
     assert (degrees.dtype, degrees.tolist()) == (np.float64, canonical_multigraph(n, edges)[1])
 
 
+def assert_order_free(level, u, v, w, degrees, data):
+    # the builder takes edges in any order and orientation: the same edges
+    # shuffled, each with its ends swapped or not, give the same arrays
+    order = np.array(data.draw(st.permutations(range(u.size)), label="order"), dtype=np.int64)
+    swap = np.array(data.draw(st.lists(st.booleans(), min_size=u.size, max_size=u.size),
+                              label="swap"), dtype=bool)
+    u, v = np.where(swap, v, u)[order], np.where(swap, u, v)[order]
+    got = _level(level[0], u, v, w[order], degrees)
+    assert got[0] == level[0]
+    for a, b in zip(got[1:], level[1:]):
+        assert (a.dtype, a.tolist()) == (b.dtype, b.tolist())
+
+
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(), st.data())
 def test_level_builders_match_the_graph_path(case, data):
@@ -112,7 +125,9 @@ def test_level_builders_match_the_graph_path(case, data):
     # drives the requeue
     n, edges = case
     g0 = g = rv.Graph.from_edges(n, edges)
-    assert_rows_match_oracle(_csr(g), n, edges)
+    level = level_zero(g)
+    assert_rows_match_oracle(level, n, edges)
+    assert_order_free(level, g.edge_u, g.edge_v, g.edge_w, g.degrees, data)
     membership = np.arange(n)  # input node -> node of the current level
     for _ in range(data.draw(st.integers(1, 3))):
         labels = np.array(data.draw(st.lists(st.integers(0, g.n - 1),
@@ -122,8 +137,9 @@ def test_level_builders_match_the_graph_path(case, data):
         b = int(dense.max()) + 1
         g = rv.Graph.from_arrays(b, dense[g.edge_u], dense[g.edge_v], g.edge_w)
         membership = dense[membership]
-        level = _quotient_level(g0, membership, b)
+        level = quotient_level(g0, membership, b)
         assert_rows_match_oracle(level, b, list(g.edges()))
+        assert_order_free(level, *_cross_edges(g0, membership), level[3], data)
         # _scratch_q and conftest.level_edges read a level's loop weight as
         # m - nbr.size / 2
         loops = int(g.edge_w[g.edge_u == g.edge_v].sum())
@@ -136,7 +152,7 @@ def assert_movable_matches_oracle(g, init, gamma):
     # >= differ
     sizes = np.bincount(init, minlength=g.n)
     kappas = np.bincount(init, weights=g.degrees, minlength=g.n)
-    level = _csr(g)
+    level = level_zero(g)
     for min_gain in (_TOL * g.m, 0.0):
         got = np.concatenate(list(_movable(level, level[1].tolist(), init, sizes, kappas,
                                            gamma / (2.0 * g.m), min_gain)))
@@ -169,7 +185,7 @@ def test_movability_pass_matches_oracle_and_keeps_the_loop(case, data):
     n, edges = case
     g = rv.Graph.from_edges(n, edges)
     assume(g.m > 0)
-    level = _csr(g)
+    level = level_zero(g)
     # ids below n with gaps, as louvain_maximize seeds a cycle's first phase,
     # every node alone, as each level starts, or communities of two, where a
     # node's links into one community must be summed
@@ -227,7 +243,7 @@ def test_skipping_inert_nodes_keeps_the_loop(case, data):
     chunk = data.draw(st.sampled_from([1, 5, 4096]), label="chunk")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_modularity, "_CHUNK", chunk)
-        runs = [run_phases(_csr(g), gamma, seed, init, limit) for limit in (float("inf"), 0)]
+        runs = [run_phases(level_zero(g), gamma, seed, init, limit) for limit in (float("inf"), 0)]
         assert runs[0] == runs[1] == oracle_phases(g, gamma, seed, init)
 
 
@@ -235,7 +251,7 @@ def test_an_inert_node_in_company_is_visited():
     # at gamma 4 the one edge is half as dense as gamma asks, so both ends
     # are inert; together they score -1 for staying, and the first popped
     # detaches for 0
-    level = _csr(rv.Graph.from_edges(2, [(0, 1)]))
+    level = level_zero(rv.Graph.from_edges(2, [(0, 1)]))
     assert _inert(level, [0, 1, 2], 2.0, _TOL, 4.0).tolist() == [True, True]
     runs = [run_phases(level, 4.0, 0, np.array([0, 0]), limit)
             for limit in (float("inf"), 0)]
@@ -246,7 +262,7 @@ def test_an_inert_node_in_company_is_visited():
 def test_inert_mask_on_one_edge(gamma, inert):
     # on one edge coef * k_i * k_j = gamma / 2, so the link's gain 1 - gamma / 2
     # is positive below gamma 2; at 2 it is exactly 0, which no move takes
-    level = _csr(rv.Graph.from_edges(2, [(0, 1)]))
+    level = level_zero(rv.Graph.from_edges(2, [(0, 1)]))
     assert _inert(level, [0, 1, 2], gamma / 2.0, _TOL, gamma).tolist() == [inert] * 2
 
 
@@ -255,18 +271,16 @@ def test_inert_mask_on_one_edge(gamma, inert):
 def test_inert_nodes_have_no_move_while_alone(case, data):
     # whatever the other nodes do, no single move pays a node the mask marks
     # while it sits alone, by the oracle that recounts links from the edge
-    # list; level 0 and the quotient by singletons, the same rows built two
-    # ways, give one mask
+    # list
     n, edges = case
     g = rv.Graph.from_edges(n, edges)
     assume(g.m > 0)
     gamma = data.draw(gammas(), label="gamma")
     coef, min_gain = gamma / (2.0 * g.m), _TOL * g.m
-    masks = [_inert(level, level[1].tolist(), coef, min_gain, gamma)
-             for level in (_csr(g), _quotient_level(g, np.arange(n), n))]
-    assert masks[0].tolist() == masks[1].tolist()
+    level = level_zero(g)
+    mask = _inert(level, level[1].tolist(), coef, min_gain, gamma)
     others = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="others")
-    for i in np.flatnonzero(masks[0]).tolist():
+    for i in np.flatnonzero(mask).tolist():
         taken = set(others[:i] + others[i + 1:])
         alone = [c if v != i else min(set(range(n)) - taken) for v, c in enumerate(others)]
         assert movable_direct(n, list(g.edges()), gamma, alone, min_gain)[i] is None
@@ -298,7 +312,7 @@ def test_phases_on_fixed_cases(edges, init, gamma):
     g = rv.Graph.from_edges(len(init), edges)
     want = oracle_phases(g, gamma, 0, np.array(init))
     for limit in (float("inf"), 0):
-        assert run_phases(_csr(g), gamma, 0, np.array(init), limit) == want
+        assert run_phases(level_zero(g), gamma, 0, np.array(init), limit) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,7 +334,7 @@ def test_phases_match_the_edge_list_oracle(case, data):
     gamma = data.draw(gammas(), label="gamma")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     starts = []
-    for graph, level in ((g, _csr(g)), (quotient, _quotient_level(g, dense, b))):
+    for graph, level in ((g, level_zero(g)), (quotient, quotient_level(g, dense, b))):
         k = graph.n
         init = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
                                   | st.permutations(range(k))), dtype=np.int64)
@@ -334,15 +348,15 @@ def test_phases_match_the_edge_list_oracle(case, data):
     # rounding, and a start one ulp off let the oracle keep another of two
     # equally good prefixes
     if n > 1:
-        got, got_kept = _chain_refine(_csr(g), gamma, starts[0])
+        got, got_kept = _chain_refine(level_zero(g), gamma, starts[0])
         assert (got.tolist(), got_kept) == chain_refine_direct(
             n, list(g.edges()), gamma, _TOL, starts[0].tolist(),
-            q=_scratch_q(_csr(g), starts[0], gamma))
+            q=_scratch_q(level_zero(g), starts[0], gamma))
     # the quotient level's rows, and its Q with every super-node alone, are
     # those of the quotient graph
-    level = _quotient_level(g, dense, b)
+    level = quotient_level(g, dense, b)
     assert_rows_match_oracle(level, b, list(quotient.edges()))
-    q = _scratch_q(_csr(g), dense, gamma)
+    q = _scratch_q(level_zero(g), dense, gamma)
     assert _scratch_q(level, np.arange(b), gamma) == q
     assert math.isclose(q, modularity_direct(list(g.edges()), dense.tolist(), gamma),
                         rel_tol=1e-12, abs_tol=1e-12)
@@ -358,7 +372,7 @@ def test_pair_keys_past_2_31():
     _, m_rs, _ = community_counts(list(g.edges()), alone.tolist())
     assert list(rv.partition_stats(g, alone).inter_pairs()) == sorted(
         (r, s, c) for (r, s), c in m_rs.items())
-    assert_rows_match_oracle(_quotient_level(g, alone, n), n, list(g.edges()))
+    assert_rows_match_oracle(quotient_level(g, alone, n), n, list(g.edges()))
 
 
 def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):
@@ -385,7 +399,7 @@ def test_idle_certificate_stops_at_the_first_movable_chunk(monkeypatch):
                         lambda *args: tallies.append(args) or real_tally(*args))
     g, _ = rv.make_plateau_fixture(0)
     assert g.n > _modularity._SKIP_LIMIT
-    level, alone = _csr(g), np.arange(g.n)
+    level, alone = level_zero(g), np.arange(g.n)
     assert _local_moving(level, 1.0, make_rng(0), alone // 2)[1]
     assert [read for _, read in calls] == [1]
     calls.clear()
@@ -416,7 +430,7 @@ def test_a_small_level_with_many_entries_takes_the_numpy_checks(monkeypatch):
                         lambda *args: tallies.append(args) or real_tally(*args))
     n = 40
     g = rv.Graph.from_edges(n, [(i, j, 3) for i in range(n) for j in range(i + 1, n)])
-    level, alone = _csr(g), np.arange(n)
+    level, alone = level_zero(g), np.arange(n)
     assert n <= _modularity._SKIP_LIMIT and level[2].size == 4680 > _modularity._CHUNK
     comm, moved = _local_moving(level, 2.0, make_rng(0), alone)
     assert (comm.tolist(), moved) == (alone.tolist(), False)

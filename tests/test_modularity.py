@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import resolv as rv
-from conftest import as_mapping, louvain_replayed, random_multigraph
+from conftest import as_mapping, level_zero, louvain_replayed, quotient_level, random_multigraph
 from oracles import (best_partition_q, chain_refine_direct, components_direct, modularity_direct,
                      set_partitions)
 
@@ -214,7 +214,7 @@ def test_chain_refine_matches_direct_reference():
     # the chain polish keeps its link weights up to date step by step; the
     # oracle recounts them from the edge list at every step. Moves, tie-breaks
     # and kept rounds must agree exactly.
-    from resolv.modularity import _chain_refine, _csr
+    from resolv.modularity import _chain_refine
     rng = np.random.default_rng(16)
     kept = 0
     for trial in range(40):
@@ -222,7 +222,7 @@ def test_chain_refine_matches_direct_reference():
         g = rv.Graph.from_edges(n, edges)
         gamma = float(rng.uniform(0.3, 2.5))
         start = rng.integers(0, 3, size=n)
-        got, got_kept = _chain_refine(_csr(g), gamma, start)
+        got, got_kept = _chain_refine(level_zero(g), gamma, start)
         want, want_kept = chain_refine_direct(n, list(g.edges()), gamma, 1e-12, start.tolist())
         assert got.tolist() == want
         assert got_kept == want_kept
@@ -433,10 +433,9 @@ def test_build_peaks_stay_within_a_few_edge_arrays():
 def test_level_zero_csr_peak_on_a_multigraph():
     # level 0 holds one int32 entry per unit of multiplicity and no weight
     # array. On this multigraph (mean multiplicity 1.5, some loops) the traced
-    # peak of _csr was 2.51x the graph's edge arrays with merged rows and
-    # float64 weights, and is 1.96x with unit rows
+    # peak of the level-0 build was 2.51x the graph's edge arrays with merged
+    # rows and float64 weights, and is 1.96x with unit rows
     import tracemalloc
-    from resolv.modularity import _csr
     rng = np.random.default_rng(0)
     u, v = rng.integers(0, 2000, (2, 50000))
     g = rv.Graph.from_arrays(2000, u, v, rng.integers(1, 3, 50000))
@@ -445,7 +444,7 @@ def test_level_zero_csr_peak_on_a_multigraph():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _csr(g)
+        level_zero(g)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -478,8 +477,8 @@ def test_maximize_peak_on_a_unit_edge_graph():
     # level 0's lower-neighbour side comes from v*n + u keys sorted in place,
     # and partition_stats gathers only the cross edges. On this graph the
     # traced peak was 1.73x the edge arrays, set by partition_stats' intra
-    # and cross gathers, and 1.28x with a stable argsort of v in _rows; it is
-    # 1.15x, set by _csr
+    # and cross gathers, and 1.28x with a stable argsort in the row builder; it is
+    # 1.15x, set by the level-0 build
     g = unit_edge_graph()
     assert traced_peak(g, lambda: rv.louvain_maximize(g, 1.0, seed=0)) < 1.21
 
@@ -489,13 +488,13 @@ def test_first_level_build_peak_on_a_unit_edge_graph():
     # from int32 community ids of its cross edges. Aggregating level 0's CSR
     # entries, with int32 community ids at both ends of every entry and a
     # mask, traced 0.77x the edge arrays here; the quotient traces 0.39x
-    from resolv.modularity import _csr, _local_moving, _quotient_level
+    from resolv.modularity import _local_moving
     from resolv.seeding import make_rng
     g = unit_edge_graph()
-    comm, _ = _local_moving(_csr(g), 1.0, make_rng(0), np.arange(g.n))
+    comm, _ = _local_moving(level_zero(g), 1.0, make_rng(0), np.arange(g.n))
     dense = np.unique(comm, return_inverse=True)[1]
     b = int(dense.max()) + 1
-    assert traced_peak(g, lambda: _quotient_level(g, dense, b)) < 0.55
+    assert traced_peak(g, lambda: quotient_level(g, dense, b)) < 0.55
 
 
 def test_partition_stats_peak_under_many_random_labels():
@@ -509,24 +508,25 @@ def test_partition_stats_peak_under_many_random_labels():
 
 @pytest.mark.parametrize("n, m", [(20, 45), (300, 1200)])
 def test_one_csr_and_no_graph_per_maximizer_call(monkeypatch, n, m):
-    # the chain polish (n <= 32) and every level-0 phase reuse one CSR, and
-    # aggregated levels are built from the input graph's arrays, not a Graph
+    # the chain polish (n <= 32) and every level-0 phase reuse one CSR, built
+    # from the input graph's own edge arrays, and aggregated levels are built
+    # from that graph's arrays too, not from a Graph
     import importlib
     modularity = importlib.import_module("resolv.modularity")  # rv.modularity is the function
     g = rv.sample_er(n, m, 3)
-    calls = {"csr": 0, "from_arrays": 0}
-    csr, from_arrays = modularity._csr, rv.Graph.from_arrays.__func__
+    calls = {"level_zero": 0, "from_arrays": 0}
+    level, from_arrays = modularity._level, rv.Graph.from_arrays.__func__
 
-    def counted_csr(graph):
-        calls["csr"] += 1
-        return csr(graph)
+    def counted_level(n, u, *args):
+        calls["level_zero"] += u is g.edge_u
+        return level(n, u, *args)
 
     def counted_from_arrays(cls, *args, **kwargs):
         calls["from_arrays"] += 1
         return from_arrays(cls, *args, **kwargs)
 
-    monkeypatch.setattr(modularity, "_csr", counted_csr)
+    monkeypatch.setattr(modularity, "_level", counted_level)
     monkeypatch.setattr(rv.Graph, "from_arrays", classmethod(counted_from_arrays))
     for seed in range(3):
         rv.louvain_maximize(g, 1.0, seed=seed)
-    assert calls == {"csr": 3, "from_arrays": 0}
+    assert calls == {"level_zero": 3, "from_arrays": 0}
