@@ -130,11 +130,15 @@ def multiscale_detect(graph: Graph, gamma0: float = 0.5, seed: int = 0, *,
     give. Child seeds derive from the parent's seed and the community id,
     whether or not a sibling was searched, so runs are reproducible
     regardless of evaluation order. ``max_depth`` runs from 1 to MAX_DEPTH
-    (256), where the tree's report still serializes.
+    (256), where the tree's report still serializes. Every node's
+    gamma_effective, gamma0 * m / m_sub, is at most gamma0 * m, which must
+    be finite for the report to be strict JSON.
     """
     if graph.m < 1:
         raise ValidationError("multiscale detection needs at least one edge")
     _check_gamma(gamma0)
+    if not np.isfinite(gamma0 * graph.m):
+        raise ValidationError("gamma0 times the edge count must be finite")
     if max_depth < 1 or min_size < 1:
         raise ValidationError("max_depth and min_size must be >= 1")
     if max_depth > MAX_DEPTH:

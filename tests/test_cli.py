@@ -660,6 +660,11 @@ def config(model, **fields):
     # grids np.linspace cannot allocate (7.28 TiB) or represent, refused first
     (sweep_grid("0.1:1:1000000000000"), 3),
     (sweep_grid("0.1:1:100000000000000000000"), 3),
+    # two 6-cliques, a bridge and a loop: the looped node's leaf would read
+    # gamma_effective = 1e308 * 32 / 1, an Infinity in the report
+    (lambda tmp_path: ["detect", "--graph", write_graph(tmp_path, [
+        (u, v) for u in range(12) for v in range(u + 1, 12) if (u < 6) == (v < 6)]
+        + [(0, 6), (0, 0)]), "--method", "multiscale", "--gamma0", "1e308"], 3),
 ], ids=["edges-not-utf8", "edges-hash-label", "truth-not-utf8", "sweep-truth-disjoint",
         "config-not-utf8", "degrees-string",
         "degrees-list-with-string", "fractional-blocks", "ragged-omega",
@@ -670,7 +675,8 @@ def config(model, **fields):
         "multiscale-negative-seed", "certified-negative-seed", "sweep-negative-seed", "generate-negative-seed",
         "clique-negative-seed", "negative-size-scalar", "negative-size-list", "model-list",
         "sizes-past-int64", "size-past-limit", "er-past-limit", "config-list",
-        "config-string", "config-number", "grid-steps-huge", "grid-steps-past-int64"])
+        "config-string", "config-number", "grid-steps-huge", "grid-steps-past-int64",
+        "multiscale-gamma0-overflow"])
 def test_bad_input_exit_codes(tmp_path, capsys, make_argv, code):
     assert main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")]) == code
     assert "internal error" not in capsys.readouterr().err

@@ -143,6 +143,10 @@ def test_input_validation():
         rv.multiscale_detect(g2, gamma0=0.0)
     with pytest.raises(rv.ValidationError):
         rv.multiscale_detect(g2, max_depth=0)
+    # a gamma_effective of gamma0 * m / m_sub would overflow to inf at a
+    # one-edge leaf, which strict JSON cannot hold
+    with pytest.raises(rv.ValidationError, match="finite"):
+        rv.multiscale_detect(g2, gamma0=1e308)
     # past the depth whose report still serializes (test_report_serializes_at_the_depth_cap)
     with pytest.raises(rv.ValidationError, match="at most 256"):
         rv.multiscale_detect(g2, max_depth=257)
