@@ -563,6 +563,7 @@ def _level(n, u, v, w, degrees):
     lo = np.minimum(u, v, dtype=np.int32, casting="unsafe").repeat(reps)
     hi = np.maximum(u, v, dtype=np.int32, casting="unsafe").repeat(reps)
     del reps  # the rows below set the peak
+    degrees = degrees.astype(np.float64)
     sides = np.empty(2 * n, dtype=np.int64)  # per row: higher-side count, lower-side count
     sides[0::2] = np.bincount(lo, minlength=n)
     sides[1::2] = np.bincount(hi, minlength=n)
@@ -580,7 +581,7 @@ def _level(n, u, v, w, degrees):
         nbr[side] = keys
         del keys  # freed before the other side's keys are built
         np.logical_not(side, out=side)
-    return n, indptr, nbr, degrees.astype(np.float64)
+    return n, indptr, nbr, degrees
 
 
 def _scratch_q(level, comm, gamma) -> float:
